@@ -9,9 +9,10 @@ Compares a pytest-benchmark ``--benchmark-json`` dump of
 
 Three metric classes, with different strictness:
 
-* **gates** -- synthesized cell census of the secure processor
-  (machine-independent): fail if any count grows more than
-  ``--tolerance`` (default 20%) over baseline.
+* **gates** -- synthesized cell census of the secure processor and the
+  optimizer's comb-signal count on it (machine-independent): fail if
+  any count grows more than ``--tolerance`` (default 20%) over
+  baseline.
 * **ratios** -- machine-relative speedups measured on the same host in
   the same run (batched vs scalar simulation): fail if any ratio drops
   more than ``--tolerance`` below baseline.
@@ -36,7 +37,8 @@ BASELINE = pathlib.Path(__file__).parent / "baseline.json"
 EPS = 1e-9
 
 #: extra_info keys treated as machine-independent gate counts
-GATE_KEYS = ("gates_raw", "gates_optimized", "dff_optimized", "levels_optimized")
+GATE_KEYS = ("gates_raw", "gates_optimized", "dff_optimized", "levels_optimized",
+             "opt_comb_signals")
 #: extra_info keys treated as machine-relative ratios (bigger is better)
 RATIO_KEYS = ("batch_speedup", "swar_speedup", "compaction_speedup",
               "vector_speedup", "warm_start_speedup", "fleet_speedup",

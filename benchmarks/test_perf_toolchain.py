@@ -85,11 +85,13 @@ def test_hdl_simulation_speed_raw(benchmark):
 
 
 def test_optimize_pipeline_speed(benchmark):
-    # full pass pipeline (unmemoized) over the secure processor module
+    # full pass pipeline (unmemoized) over the secure processor module;
+    # its comb-signal census is a machine-independent regression gate
     design = compile_processor(two_level(), secure=True)
-    benchmark.pedantic(
+    result = benchmark.pedantic(
         lambda: run_pipeline(design.module), rounds=2, iterations=1
     )
+    benchmark.extra_info["opt_comb_signals"] = len(result.module.comb)
 
 
 def test_optimized_vs_raw_throughput():

@@ -441,27 +441,50 @@ class _BatchCodeGen(_CodeGen):
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self) -> None:
+        """Partition the block into same-kind phases.
+
+        Kahn's algorithm with one ready queue per kind: phases take the
+        kinds in the fixed order ``s``, ``w``, ``p``, and each phase is
+        the whole same-kind closure ready at its start, grabbed frontier
+        by frontier in block order.  Linear in the block, plus the sort
+        of each frontier.
+        """
         m = self.module
         order = [n for n, _ in m.comb]
+        kinds = self.kinds
         deps = {
-            name: [n.name for n in e.walk() if isinstance(n, HRef) and n.name in self.kinds]
+            name: [n.name for n in e.walk() if isinstance(n, HRef) and n.name in kinds]
             for name, e in m.comb
         }
-        done: set[str] = set()
+        self.consumers: dict[str, list[str]] = {}
+        for name in order:
+            for d in deps[name]:
+                self.consumers.setdefault(d, []).append(name)
+        pos = {name: k for k, name in enumerate(order)}
+        # unmet dependencies, counted per occurrence like ``consumers``
+        waiting = {name: len(deps[name]) for name in order}
+        ready: dict[str, list[str]] = {"s": [], "w": [], "p": []}
+        for name in order:
+            if not waiting[name]:
+                ready[kinds[name]].append(name)
         phases: list[tuple[str, list[str]]] = []
-        while len(done) < len(order):
+        left = len(order)
+        while left:
             progress = False
             for kind in ("s", "w", "p"):
                 grabbed: list[str] = []
-                frontier = [n for n in order if n not in done and self.kinds[n] == kind
-                            and all(d in done for d in deps[n])]
-                while frontier:
+                while ready[kind]:
+                    frontier = sorted(ready[kind], key=pos.__getitem__)
+                    ready[kind] = []
+                    for name in frontier:
+                        for c in self.consumers.get(name, ()):
+                            waiting[c] -= 1
+                            if not waiting[c]:
+                                ready[kinds[c]].append(c)
                     grabbed.extend(frontier)
-                    done.update(frontier)
-                    frontier = [n for n in order if n not in done and self.kinds[n] == kind
-                                and all(d in done for d in deps[n])]
                 if grabbed:
                     phases.append((kind, grabbed))
+                    left -= len(grabbed)
                     progress = True
             if not progress:  # pragma: no cover - validate() rejects cycles
                 raise ValueError(f"{m.name}: combinational cycle")
@@ -469,32 +492,29 @@ class _BatchCodeGen(_CodeGen):
         for i, (_, sigs) in enumerate(phases):
             for s in sigs:
                 self.phase_of[s] = i
-        self.consumers: dict[str, list[str]] = {}
-        for name in order:
-            for d in deps[name]:
-                self.consumers.setdefault(d, []).append(name)
         # sink scalar signals into the latest scalar phase preceding their
         # first consumer: fewer wide values cross phases through buffers
         nphases = len(phases)
+        last_s = []  # phase index -> latest scalar phase at or before it
+        for j, (kind, _) in enumerate(phases):
+            last_s.append(j if kind == "s" else (last_s[-1] if j else -1))
         for i in range(nphases - 1, -1, -1):
             kind, sigs = phases[i]
             if kind != "s":
                 continue
-            for s in list(sigs):
+            stay = []
+            for s in sigs:
                 limit = nphases - 1
                 for c in self.consumers.get(s, []):
                     cp = self.phase_of[c]
-                    limit = min(limit, cp if self.kinds[c] == "s" else cp - 1)
-                best = i
-                for j in range(limit, i, -1):
-                    if phases[j][0] == "s":
-                        best = j
-                        break
-                if best != i:
-                    sigs.remove(s)
+                    limit = min(limit, cp if kinds[c] == "s" else cp - 1)
+                best = last_s[limit] if limit > i else i
+                if best > i:
                     phases[best][1].append(s)
                     self.phase_of[s] = best
-        pos = {name: k for k, name in enumerate(order)}
+                else:
+                    stay.append(s)
+            sigs[:] = stay
         for _, sigs in phases:
             sigs.sort(key=pos.__getitem__)
         self.phases = phases

@@ -5,14 +5,29 @@ simulator, the gate-count synthesizer, and the Verilog emitter -- so
 the redundant tag-join and mux logic the Sapper compiler emits is paid
 for once, here, instead of three times downstream.
 
-* :class:`ConstantFold` -- fold constant operators, propagate constants
-  and aliases (bit-exact with the simulator's semantics);
-* :class:`SimplifyLogic` -- mux/boolean/algebraic identities
-  (``mux(c, x, x)``, ``x & 0``, constant guards, ...);
-* :class:`CommonSubexpr` -- value numbering of duplicated tag joins,
-  Fcd upgrades, and forwarding comparisons;
+* :class:`Rewrite` -- one forward sweep over the combinational block in
+  topological order that builds every node through a single interning
+  constructor: constant folding (bit-exact with the simulator via
+  :func:`eval_op`), the mux/boolean/algebraic identities (``mux(c, x,
+  x)``, ``x & 0``, constant guards, ...), and value numbering of
+  duplicated tag joins, Fcd upgrades, and forwarding comparisons, all
+  at once;
+* :class:`NarrowWidths` -- shrink provably narrow wide operators under
+  the SWAR width boundary;
 * :class:`DeadSignalElim` -- drop signals that feed no register
   next-value, array port, or output; prune never-firing write ports.
+
+**Interning key and scope.**  The rewrite keys nodes on ``(op, width,
+hi, lo, array, id(child)...)`` of already-interned children: a lookup
+is O(1) and structurally equal nodes are one object.  The table lives
+for one :meth:`Rewrite.run` only -- the IR classes, pickled store
+artifacts, and long-lived servers never hold it.
+
+**Fixpoint.**  Because every node is folded, simplified and deduped as
+it is built, from children that already were, the rewrite's output is
+its own fixpoint; :class:`PassManager` repeats the pipeline until a
+sweep changes nothing, which for the standard pipeline means one
+working sweep and one that confirms it.
 
 :func:`optimize` runs the standard pipeline with a per-module memo so
 every backend sees the same optimized object without re-running passes.
@@ -29,24 +44,28 @@ from repro.hdl.passes.base import (
     WeakIdMemo,
     rebuild,
 )
-from repro.hdl.passes.constfold import ConstantFold, eval_op
-from repro.hdl.passes.cse import CommonSubexpr
 from repro.hdl.passes.dce import DeadSignalElim
 from repro.hdl.passes.narrow import NarrowWidths
-from repro.hdl.passes.simplify import SimplifyLogic
+from repro.hdl.passes.rewrite import Rewrite, eval_op
 
 #: Highest supported optimization level.
 MAX_OPT_LEVEL = 2
 
+#: Version of what the pipeline produces, part of every persisted key
+#: derived from an optimized module: bump it whenever a change to the
+#: passes changes their output, so stores filled by an older pipeline
+#: miss instead of serving its modules.
+OPT_VERSION = 2
+
 
 def default_passes(level: int = MAX_OPT_LEVEL) -> list[Pass]:
-    """The standard pipeline for *level* (0 = none, 1 = fold+dce, 2 = full)."""
+    """The standard pipeline for *level* (0 = none, 1 = rewrite+dce,
+    2 = full, adding width narrowing)."""
     if level <= 0:
         return []
     if level == 1:
-        return [ConstantFold(), DeadSignalElim()]
-    return [ConstantFold(), NarrowWidths(), SimplifyLogic(), CommonSubexpr(),
-            DeadSignalElim()]
+        return [Rewrite(), DeadSignalElim()]
+    return [Rewrite(), NarrowWidths(), DeadSignalElim()]
 
 
 # raw module -> {level: optimized module}
@@ -85,16 +104,15 @@ def run_pipeline(module: Module, level: int = MAX_OPT_LEVEL) -> OptResult:
 
 
 __all__ = [
-    "CommonSubexpr",
-    "ConstantFold",
     "DeadSignalElim",
     "MAX_OPT_LEVEL",
     "NarrowWidths",
+    "OPT_VERSION",
     "OptResult",
     "Pass",
     "PassManager",
     "PassStat",
-    "SimplifyLogic",
+    "Rewrite",
     "default_passes",
     "eval_op",
     "optimize",

@@ -123,12 +123,14 @@ class PassManager:
     """Runs an ordered pass pipeline, iterating until nothing changes.
 
     Each iteration applies every pass once, in order; iteration stops as
-    soon as a full sweep makes no change (or after *max_iters* sweeps --
-    the passes all shrink or preserve the module, so this terminates
-    quickly in practice).
+    soon as a full sweep makes no change, so the result is a fixpoint of
+    every pass.  The standard pipeline gets there in two sweeps: the
+    one-sweep rewrite is its own fixpoint, so the second sweep only
+    confirms it.  *max_iters* is a guard against a pass pair that undo
+    each other, far above what any design needs.
     """
 
-    def __init__(self, passes: Sequence[Pass], max_iters: int = 4):
+    def __init__(self, passes: Sequence[Pass], max_iters: int = 16):
         self.passes = list(passes)
         self.max_iters = max_iters
 

@@ -132,10 +132,16 @@ class NarrowWidths(Pass):
     def _rewrite_inner(self, e: HExpr, env: dict[str, int]) -> HExpr:
         if not isinstance(e, HOp):
             return e
-        args = tuple(self._rewrite(a, env) for a in e.args)
-        if any(a is not b for a, b in zip(args, e.args)):
+        args = []
+        same = True
+        for a in e.args:
+            got = self._rewrite(a, env)
+            if got is not a:
+                same = False
+            args.append(got)
+        if not same:
             self._changed = True
-            e = HOp(e.op, args, e.width, e.hi, e.lo, e.array)
+            e = HOp(e.op, tuple(args), e.width, e.hi, e.lo, e.array)
 
         limit = self.limit
         if (e.op in _UNSIGNED_CMPS

@@ -157,8 +157,12 @@ def _vector_ok(e: HExpr, dense: frozenset = frozenset()) -> bool:
     significant bits at or above its declared width), because the mask
     elision and the dtype both assume it.
     """
-    low_mul: set = set()
+    window = None  # the product a low-64 window slice just opened
     for node in e.walk():
+        # pre-order: a slice's only child is the very next node, so
+        # the product counts as windowed at that occurrence only (the
+        # same node object may also appear bare elsewhere in the tree)
+        opened, window = window, None
         if (isinstance(node, HOp) and node.op == "slice"
                 and node.lo + node.width <= VECTOR_MAX_WIDTH
                 and isinstance(node.args[0], HOp) and node.args[0].op == "mul"
@@ -169,8 +173,8 @@ def _vector_ok(e: HExpr, dense: frozenset = frozenset()) -> bool:
             # mult writing hi/lo): uint64 wraparound computes the low
             # 64 bits of the product exactly (two's complement), so the
             # over-wide mul node itself never needs to materialize
-            low_mul.add(id(node.args[0]))
-        if node.width > VECTOR_MAX_WIDTH and id(node) not in low_mul:
+            window = node.args[0]
+        if node.width > VECTOR_MAX_WIDTH and node is not opened:
             return False
         if not isinstance(node, HOp):
             continue

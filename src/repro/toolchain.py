@@ -48,7 +48,7 @@ from repro.hdl import (
     synthesize as _synthesize,
 )
 from repro.hdl.ir import Module
-from repro.hdl.passes import MAX_OPT_LEVEL, optimize as _optimize
+from repro.hdl.passes import MAX_OPT_LEVEL, OPT_VERSION, optimize as _optimize
 from repro.hdl.synth import CostReport
 from repro.lattice import Lattice
 from repro.sapper import ast
@@ -318,7 +318,7 @@ class Toolchain:
         if tail is None or self.store is None:
             return _optimize(module, self.opt_level)
         return self.cached(
-            ("optimize", *tail, self.opt_level),
+            ("optimize", *tail, self.opt_level, OPT_VERSION),
             lambda: _optimize(module, self.opt_level),
             pin=module,
             persist=True,
@@ -384,7 +384,7 @@ class Toolchain:
         legacy identity key (raw modules handed in directly)."""
         tail = self._structural_tail(design)
         if tail is not None:
-            return (stage, *tail, self.opt_level)
+            return (stage, *tail, self.opt_level, OPT_VERSION)
         # identity-keyed fallback for raw modules: UnstableKey keeps the
         # store tier out (an id() must never cross a process boundary)
         return (stage, UnstableKey(self._module(design)), self.opt_level)

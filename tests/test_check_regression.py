@@ -67,6 +67,14 @@ class TestCollect:
         assert got["mean_seconds"] == {"test_x": 0.1}
         assert set(got["names"]) == {"test_x", "test_gates", "test_ratio"}
 
+    def test_optimized_signal_count_is_a_gated_count(self):
+        """The optimizer's comb-signal census on the processor gates
+        like the cell counts: machine-independent, must not grow."""
+        assert "opt_comb_signals" in check_regression.GATE_KEYS
+        doc = bench_json({"test_opt": 0.2},
+                         extra={"test_opt": {"opt_comb_signals": 7023}})
+        assert check_regression.collect(doc)["gates"] == {"opt_comb_signals": 7023}
+
     def test_swar_speedup_is_a_gated_ratio(self):
         assert "swar_speedup" in check_regression.RATIO_KEYS
 

@@ -1,7 +1,8 @@
 """Unit and property tests for the HDL optimization pipeline.
 
-Covers each pass in isolation (constant folding, mux/boolean
-simplification, CSE, dead-signal elimination), the pipeline's
+Covers each pass in isolation (the one-sweep rewrite's constant
+folding, mux/boolean simplification and CSE, width narrowing,
+dead-signal elimination), the pipeline's
 architectural-equivalence contract on sample designs, the memoization
 of :func:`repro.hdl.passes.optimize`, and the GLIFT shadow-taint
 invariance property: bit-blasting an optimized module must yield the
@@ -17,12 +18,10 @@ from repro.glift import GliftSimulator
 from repro.hdl import HConst, HOp, HRef, Module, Simulator
 from repro.hdl.netlist import bit_blast
 from repro.hdl.passes import (
-    CommonSubexpr,
-    ConstantFold,
     DeadSignalElim,
     NarrowWidths,
     PassManager,
-    SimplifyLogic,
+    Rewrite,
     default_passes,
     optimize,
     run_pipeline,
@@ -30,6 +29,8 @@ from repro.hdl.passes import (
 from repro.lattice import two_level
 from repro.sapper import samples
 from repro.sapper.compiler import compile_program
+
+from tests import strategies
 
 
 def find(module: Module, name: str):
@@ -44,7 +45,7 @@ class TestConstantFold:
         m = Module("t")
         m.assign("a", HOp("add", (HConst(3, 8), HConst(4, 8)), 8))
         m.set_output("y", HRef("a", 8))
-        out, changed = ConstantFold().run(m)
+        out, changed = Rewrite().run(m)
         assert changed and find(out, "a") == HConst(7, 8)
 
     def test_propagates_through_refs(self):
@@ -52,7 +53,7 @@ class TestConstantFold:
         m.assign("a", HOp("add", (HConst(1, 8), HConst(1, 8)), 8))
         m.assign("b", HOp("mul", (HRef("a", 8), HConst(3, 8)), 8))
         m.set_output("y", HRef("b", 8))
-        out, _ = ConstantFold().run(m)
+        out, _ = Rewrite().run(m)
         assert find(out, "b") == HConst(6, 8)
 
     def test_division_by_zero_convention(self):
@@ -61,7 +62,7 @@ class TestConstantFold:
         m.assign("r", HOp("mod", (HConst(9, 8), HConst(0, 8)), 8))
         m.set_output("q", HRef("q", 8))
         m.set_output("r", HRef("r", 8))
-        out, _ = ConstantFold().run(m)
+        out, _ = Rewrite().run(m)
         assert find(out, "q") == HConst(0xFF, 8)  # all-ones, like the sim
         assert find(out, "r") == HConst(9, 8)     # the dividend
 
@@ -70,7 +71,7 @@ class TestConstantFold:
         x = m.add_input("x", 8)
         m.assign("a", HOp("mux", (HConst(1, 1), x, HConst(0, 8)), 8))
         m.set_output("y", HRef("a", 8))
-        out, _ = ConstantFold().run(m)
+        out, _ = Rewrite().run(m)
         assert find(out, "a") == x
 
     def test_never_folds_array_reads(self):
@@ -78,13 +79,13 @@ class TestConstantFold:
         m.add_array("ram", 8, 16)
         m.assign("a", HOp("read", (HConst(3, 4),), 8, array="ram"))
         m.set_output("y", HRef("a", 8))
-        out, _ = ConstantFold().run(m)
+        out, _ = Rewrite().run(m)
         assert isinstance(find(out, "a"), HOp)
 
 
 class TestSimplify:
     def simplify(self, m):
-        out, _ = SimplifyLogic().run(m)
+        out, _ = Rewrite().run(m)
         return out
 
     def test_mux_same_arms(self):
@@ -171,7 +172,7 @@ class TestCse:
         m.assign("b", HOp("add", (x, y), 8))
         m.assign("c", HOp("mul", (HRef("a", 8), HRef("b", 8)), 8))
         m.set_output("y0", HRef("c", 8))
-        out, changed = CommonSubexpr().run(m)
+        out, changed = Rewrite().run(m)
         assert changed
         assert find(out, "b") == HRef("a", 8)
         # uses of b are redirected to a
@@ -185,8 +186,27 @@ class TestCse:
         m.assign("b", HOp("mul", (HOp("add", (x, y), 8), x), 8))
         m.set_output("y0", HRef("b", 8))
         m.set_output("y1", HRef("a", 8))
-        out, _ = CommonSubexpr().run(m)
+        out, _ = Rewrite().run(m)
         assert find(out, "b") == HOp("mul", (HRef("a", 8), x), 8)
+
+
+    def test_rule_results_are_rebuilt_per_use(self):
+        """A rewritten shape reused after a later signal came to hold one
+        of its subtrees must read that signal, not embed the stale tree
+        (else a second sweep would still find work)."""
+        m = Module("t")
+        c = m.add_input("c", 1)
+        x, y, p, q, w, v = (m.add_input(n, 8) for n in "xypqwv")
+        m.assign("f", HOp("mux", (c, y, HOp("add", (p, q), 8)), 8))
+        nested = HOp("mux", (c, x, HRef("f", 8)), 8)  # collapses to mux(c, x, p+q)
+        m.assign("s1", HOp("xor", (nested, w), 8))
+        m.assign("t", HOp("add", (p, q), 8))
+        m.assign("s2", HOp("and", (nested, v), 8))
+        for sig in ("s1", "s2", "t"):
+            m.set_output(sig, HRef(sig, 8))
+        once, _ = Rewrite().run(m)
+        assert find(once, "s2") == HOp("and", (HOp("mux", (c, x, HRef("t", 8)), 8), v), 8)
+        assert not Rewrite().run(once)[1]
 
 
 class TestNarrowWidths:
@@ -333,9 +353,7 @@ class TestPipeline:
         result = run_pipeline(design.module)
         assert len(result.module.comb) < len(design.module.comb)
         assert result.signals_removed > 0
-        assert {s.name for s in result.stats} == {
-            "constfold", "narrow", "simplify", "cse", "dce"
-        }
+        assert {s.name for s in result.stats} == {"rewrite", "narrow", "dce"}
 
     def test_optimize_is_memoized_and_idempotent(self):
         lat = two_level()
@@ -347,14 +365,70 @@ class TestPipeline:
 
     def test_levels(self):
         assert default_passes(0) == []
-        assert len(default_passes(1)) == 2
-        assert len(default_passes(2)) == 5
+        assert [p.name for p in default_passes(1)] == ["rewrite", "dce"]
+        assert [p.name for p in default_passes(2)] == ["rewrite", "narrow", "dce"]
 
     def test_validates_output(self):
         lat = two_level()
         design = compile_program(samples.ADDER_CHECK, lat, name="a")
         out = PassManager(default_passes()).run(design.module).module
         out.validate()  # must not raise
+
+
+def _assert_fixpoint(module: Module) -> Module:
+    """Optimize *module*, then check that one more pipeline run over the
+    output changes nothing (no pass reports a change)."""
+    out = run_pipeline(module).module
+    again = run_pipeline(out)
+    assert [s.name for s in again.stats if s.changed] == []
+    assert again.module is out
+    return out
+
+
+class TestFixpoint:
+    """One pipeline run reaches the fold/simplify/CSE/narrow/DCE
+    fixpoint the PassManager promises, on every sample design and on
+    the processor."""
+
+    SAMPLES = sorted(
+        name for name in dir(samples)
+        if name.isupper() and isinstance(getattr(samples, name), str)
+    )
+
+    @pytest.mark.parametrize("secure", [True, False])
+    @pytest.mark.parametrize("sample", SAMPLES)
+    def test_samples_reach_a_fixpoint(self, sample, secure):
+        design = compile_program(
+            getattr(samples, sample), two_level(), secure=secure, name="s"
+        )
+        _assert_fixpoint(design.module)
+
+    @pytest.mark.parametrize("secure", [True, False])
+    def test_processor_reaches_a_fixpoint(self, secure):
+        from repro.proc.machine import compile_processor
+
+        design = compile_processor(two_level(), secure=secure)
+        out = _assert_fixpoint(design.module)
+        if secure:
+            assert len(out.comb) <= 7023
+
+    def test_rewrite_output_is_its_own_fixpoint(self):
+        design = compile_program(samples.TDMA, two_level(), name="tdma")
+        once, changed = Rewrite().run(design.module)
+        assert changed
+        twice, changed = Rewrite().run(once)
+        assert not changed and twice is once
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(strategies.programs(), strategies.wide_programs()), st.booleans())
+    def test_rewrite_is_idempotent_on_random_designs(self, program, secure):
+        """One rewrite sweep leaves nothing for a second one -- also once
+        dead-signal elimination has dropped what the first made dead."""
+        design = compile_program(program, two_level(), secure=secure, name="p")
+        once, _ = Rewrite().run(design.module)
+        assert not Rewrite().run(once)[1]
+        pruned, _ = DeadSignalElim().run(once)
+        assert not Rewrite().run(pruned)[1]
 
 
 class TestGliftInvariance:

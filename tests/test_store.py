@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.hdl import Simulator
+from repro.hdl.passes import OPT_VERSION
 from repro.lattice import two_level
 from repro.sapper import samples
 from repro.sapper.analysis import analyze
@@ -196,6 +197,31 @@ class TestRoundTripProperty:
         counters = reader.counter_snapshot()
         assert counters.get("store_hit:synth") == 1
         assert counters.get("store_hit:verilog") == 1
+
+    def test_older_optimizer_entries_miss_and_rebuild(self, tmp_path):
+        """A store filled by an older pass pipeline (unversioned key, or
+        an earlier OPT_VERSION) must not serve its modules: the lookup
+        misses, the current pipeline runs, and its output is persisted
+        under the current key for the next process."""
+        lat = two_level()
+        old = _fresh_toolchain(tmp_path)
+        design = old.compile(samples.TDMA, lat, name="tdma")
+        tail = (*design._structural_key, old.opt_level)
+        stale = design.module  # stands in for an older pipeline's output
+        old.store.put(("optimize", *tail), stale)
+        old.store.put(("optimize", *tail, OPT_VERSION - 1), stale)
+
+        reader = _fresh_toolchain(tmp_path)
+        module = reader.optimize(reader.compile(samples.TDMA, lat, name="tdma"))
+        counters = reader.counter_snapshot()
+        assert counters.get("store_miss:optimize") == 1, counters
+        assert "store_hit:optimize" not in counters, counters
+        assert len(module.comb) < len(stale.comb)
+
+        again = _fresh_toolchain(tmp_path)
+        rebuilt = again.optimize(again.compile(samples.TDMA, lat, name="tdma"))
+        assert again.counter_snapshot().get("store_hit:optimize") == 1
+        assert [n for n, _ in rebuilt.comb] == [n for n, _ in module.comb]
 
     def test_object_keyed_sources_stay_out_of_the_store(self, tmp_path):
         tc = _fresh_toolchain(tmp_path)

@@ -276,7 +276,7 @@ class TestCli:
     def test_stats_reports_pass_effects(self, tdma_file, capsys):
         assert main(["stats", tdma_file]) == 0
         out = capsys.readouterr().out
-        assert "constfold" in out and "removed" in out
+        assert "rewrite" in out and "removed" in out
 
     def test_insecure_and_diamond_options(self, tdma_file, capsys):
         assert main(["compile", tdma_file, "--insecure", "--lattice", "diamond"]) == 0
@@ -308,3 +308,28 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "gates" in proc.stdout
+
+    def test_scalar_simulate_never_loads_numpy(self, tdma_file, tmp_path):
+        """NumPy backs only the vector engine: importing the CLI and a
+        scalar simulate (cold, and warm from a store) must not load it."""
+        import pathlib
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "assert 'numpy' not in sys.modules, 'import repro.cli loaded numpy'\n"
+            "for extra in ([], ['--store', sys.argv[2]], ['--store', sys.argv[2]]):\n"
+            "    assert repro.cli.main(['simulate', sys.argv[1], '-n', '5', '--quiet',\n"
+            "                           *extra]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'scalar simulate loaded numpy'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, tdma_file, str(tmp_path / "store")],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=str(pathlib.Path(__file__).resolve().parent.parent),
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -380,6 +380,32 @@ class TestLowMulWindow:
             cycles=24,
         )
 
+    def test_shared_product_outside_its_window_falls_back(self):
+        """One product *object* read through a low window and above bit
+        63 in the same tree (the optimizer interns equal subtrees): the
+        windowed occurrence must not vouch for the other one."""
+        m = Module("mult_shared")
+        a = m.add_input("a", 32)
+        b = m.add_input("b", 32)
+        prod = HOp("mul", (HOp("zext", (a,), 64), HOp("zext", (b,), 64)), 96)
+        low = HOp("slice", (prod,), 32, hi=31, lo=0)
+        high = HOp("slice", (prod,), 32, hi=95, lo=64)
+        m.assign("mix", HOp("xor", (low, high), 32))
+        m.add_reg("r", 32)
+        m.set_reg_next("r", HRef("mix", 32))
+        m.set_output("o", HRef("r", 32))
+        m.validate()
+        batch = VectorSimulator(m, 3, optimize=False)
+        assert batch.signal_tiers["mix"] == "s", batch.signal_tiers
+        lockstep_raw(
+            m, batch,
+            lambda lane, cycle: {
+                "a": (0xFFFF_FFFF - lane * 7919 - cycle * 31) & 0xFFFF_FFFF,
+                "b": (0xDEAD_BEEF + lane * 104729 + cycle) & 0xFFFF_FFFF,
+            },
+            cycles=12,
+        )
+
 
 class TestMaskElision:
     """Guard/width masks provably unnecessary must be elided -- in the
