@@ -62,20 +62,23 @@ construction-time lane ids.
 All compiled artifacts are cached per (module object, engine flag) --
 the same structural identity the :class:`~repro.toolchain.Toolchain`
 keys its artifacts by -- so every ``BatchSimulator`` over one module
-shares a single compilation.  Pass ``swar=False`` to disable the SWAR
-tier and fall back to the two-tier packed/per-lane engine (used by the
-benchmark suite to measure the SWAR tier's speedup).
+shares a single compilation.  The generic step is generated on first
+use: a run whose every step takes a specialized body never compiles
+it.  Pass ``swar=False`` to disable the SWAR tier and fall back to the
+two-tier packed/per-lane engine (used by the benchmark suite to measure
+the SWAR tier's speedup).
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from time import perf_counter
 from collections.abc import Callable, Sequence
 
 from repro.hdl.ir import HConst, HExpr, HOp, HRef, Module, significant_bits
 from repro.hdl.passes.base import WeakIdMemo
-from repro.hdl.sim import _SIGNED_HELPER, _CodeGen, paren_depth
+from repro.hdl.sim import _SIGNED_HELPER, _CodeGen, nests_within
 from repro.hdl.swar import SWAR_MAX_WIDTH, get_layout
 
 #: Ops that close over the packed (1-bit lane-sliced) world.
@@ -1150,7 +1153,7 @@ class _BatchCodeGen(_CodeGen):
             if (self.use_count.get(name, 0) == 1 and name not in keep
                     and self.cons_kind.get(name) == ["p"]
                     and len(code) <= _INLINE_LEN
-                    and paren_depth(code) <= _INLINE_DEPTH):
+                    and nests_within(code, _INLINE_DEPTH)):
                 self.pinline[name] = code
             else:
                 self._emit(f"p_{name} = {code}")
@@ -1188,7 +1191,7 @@ class _BatchCodeGen(_CodeGen):
                 if (self.use_count.get(name, 0) == 1 and name not in keep
                         and cons == ["w"]
                         and len(code) <= _INLINE_LEN
-                        and paren_depth(code) <= _INLINE_DEPTH):
+                        and nests_within(code, _INLINE_DEPTH)):
                     self.winline[name] = code
                 else:
                     self._emit(f"s_{name} = {code}")
@@ -1259,7 +1262,7 @@ class _BatchCodeGen(_CodeGen):
                 if not self._accumulated(s):
                     code = self.expr(e)
                     if (uses == 1 and len(code) <= _INLINE_LEN
-                            and paren_depth(code) <= _INLINE_DEPTH):
+                            and nests_within(code, _INLINE_DEPTH)):
                         self.inline[s] = f"({code})"
                     else:
                         lane(f"v_{s} = {code}")
@@ -1290,7 +1293,7 @@ class _BatchCodeGen(_CodeGen):
                 code = self.expr(e)
                 if (uses == 1 and s not in keep
                         and len(code) <= _INLINE_LEN
-                        and paren_depth(code) <= _INLINE_DEPTH):
+                        and nests_within(code, _INLINE_DEPTH)):
                     self.inline[s] = f"({code})"
                 else:
                     lane(f"v_{s} = {code}")
@@ -1569,6 +1572,13 @@ class _Marshal:
 class _BatchEntry:
     """All compiled batched artifacts for one (module, engine) pair.
 
+    The constructor fixes only the state layout (signal tiers, resident
+    registers, slot pitch, dispatch registers) that the generic step and
+    every folded body share.  The generic step itself is generated and
+    compiled on first use -- the first non-uniform step, or the first
+    read of :attr:`source` / :attr:`marshal` -- since a run whose every
+    step takes a specialized body never needs it.
+
     Subclassable per engine: :meth:`_make_gen` picks the code generator
     and :meth:`_namespace` the exec environment, so the vector tier
     reuses the whole body/dispatch machinery with a different lowering.
@@ -1579,14 +1589,12 @@ class _BatchEntry:
         gen = self._make_gen(module)
         self.kinds: dict[str, str] = dict(gen.kinds)
         self.resident = gen.resident
-        self.source = gen.generate()
-        self.marshal = _Marshal(gen)
         self.pitch = gen.pitch
-        namespace = self._namespace()
-        exec(compile(self.source, f"<hdl-batch:{module.name}>", "exec"), namespace)  # noqa: S102
-        self.factory: Callable[[int], Callable] = namespace["_make_batch_step"]
-        self.steps: dict[int, Callable] = {}
         self.dispatch = _dispatch_regs(module)
+        # _BATCH_CACHE holds this entry strongly under *module*'s id, so
+        # a strong reference here would pin the entry's own key forever
+        self._module = weakref.ref(module)
+        self._generic: _BatchEntry._Body | None = None
         #: combo -> per-lane-count factory, or None when folding was refused
         self.bodies: dict[tuple, _BatchEntry._Body | None] = {}
 
@@ -1602,12 +1610,13 @@ class _BatchEntry:
         return {"get_layout": get_layout}
 
     class _Body:
-        def __init__(self, module: Module, source: str, marshal: _Marshal,
+        """One compiled step source and its per-lane-count closures."""
+
+        def __init__(self, filename: str, source: str, marshal: _Marshal,
                      namespace: dict):
-            self.module = module
             self.source = source
             self.marshal = marshal
-            exec(compile(source, f"<hdl-batch:{module.name}:fold>", "exec"), namespace)  # noqa: S102
+            exec(compile(source, filename, "exec"), namespace)  # noqa: S102
             self.factory = namespace["_make_batch_step"]
             self.steps: dict[int, Callable] = {}
 
@@ -1617,11 +1626,33 @@ class _BatchEntry:
                 fn = self.steps[n] = self.factory(n)
             return fn
 
+    def _generic_body(self) -> _BatchEntry._Body:
+        body = self._generic
+        if body is None:
+            module = self._module()
+            if module is None:
+                raise RuntimeError(
+                    "the module this batched entry compiles has been collected"
+                )
+            gen = self._make_gen(module)
+            source = gen.generate()
+            body = self._generic = self._Body(
+                f"<hdl-batch:{module.name}>", source, _Marshal(gen), self._namespace()
+            )
+        return body
+
+    @property
+    def source(self) -> str:
+        """The generic step's source (generated on first read)."""
+        return self._generic_body().source
+
+    @property
+    def marshal(self) -> _Marshal:
+        return self._generic_body().marshal
+
     def step(self, n: int) -> Callable:
-        fn = self.steps.get(n)
-        if fn is None:
-            fn = self.steps[n] = self.factory(n)
-        return fn
+        """The generic step closure for *n* lanes."""
+        return self._generic_body().step(n)
 
     def body_for(self, module: Module, combo: tuple) -> _BatchEntry._Body | None:
         """The specialized body for a uniform *combo*, compiled lazily.
@@ -1640,7 +1671,10 @@ class _BatchEntry:
             if len(folded.comb) <= _FOLD_THRESHOLD * max(len(module.comb), 1):
                 gen = self._make_gen(folded, pitch=self.pitch, resident=self.resident)
                 source = gen.generate()
-                body = self._Body(folded, source, _Marshal(gen), self._namespace())
+                body = self._Body(
+                    f"<hdl-batch:{folded.name}:fold>", source, _Marshal(gen),
+                    self._namespace(),
+                )
         self.bodies[combo] = body
         return body
 
@@ -1812,8 +1846,6 @@ class BatchSimulator:
         self._majority_skip = 0             # failed-probe backoff countdown
         self._majority_backoff = 1
         self._entry = self._make_entry(module)
-        self._step = self._entry.step(lanes)
-        self.source = self._entry.source
         self.pitch = self._entry.pitch
         self._refresh_layout()
         self.pregs: dict[str, int] = {}
@@ -1842,6 +1874,17 @@ class BatchSimulator:
                 self._dispatch.append((name, "w", mask))
             else:
                 self._dispatch.append((name, "s", 0))
+
+    @property
+    def source(self) -> str:
+        """The generic step function's source."""
+        return self._entry.source
+
+    @property
+    def _step(self) -> Callable:
+        # resolved per call: the entry generates the generic step on
+        # first use, and the lane count changes with compaction
+        return self._entry.step(self.lanes)
 
     # -- engine hooks -------------------------------------------------------
     #
@@ -2049,7 +2092,6 @@ class BatchSimulator:
         self._ones = (1 << k) - 1
         self._empty_inputs = [{}] * k
         self._refresh_layout()
-        self._step = self._entry.step(k)
         # lane-count-specific caches and cost estimates start over
         self._plans.clear()
         self._split_stats.clear()

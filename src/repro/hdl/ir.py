@@ -119,9 +119,11 @@ def significant_bits(
     """A sound upper bound on the number of significant (possibly
     non-zero) low bits of *e*'s value, at most ``e.width``.
 
-    *env* maps signal names to already-computed bounds (defaults to each
-    reference's declared width); *memo* (keyed by node identity) makes
-    repeated queries over shared subtrees linear instead of per-path.
+    *env* maps signal names to already-computed bounds through its
+    ``get(name, default)`` (a dict, or the narrowing pass's on-demand
+    bounds; defaults to each reference's declared width); *memo* (keyed
+    by node identity) makes repeated queries over shared subtrees linear
+    instead of per-path.
     Used by the width-narrowing pass and the SWAR eligibility analysis:
     a value whose bound fits a narrower width can be computed at that
     width with identical results for the width-monotone operators (no
@@ -183,13 +185,17 @@ def significant_bits(
 class HExpr:
     """Base class for IR expressions."""
 
-    def children(self) -> tuple["HExpr", ...]:
-        return ()
-
     def walk(self) -> Iterator["HExpr"]:
-        yield self
-        for c in self.children():
-            yield from c.walk()
+        """Every node of the tree in preorder (shared subtrees once per
+        occurrence).  An explicit stack keeps each yield O(1) however
+        deep the tree is."""
+        stack = [self]
+        pop, push = stack.pop, stack.extend
+        while stack:
+            node = pop()
+            yield node
+            if type(node) is HOp:
+                push(node.args[::-1])
 
 
 @dataclass(frozen=True)
@@ -228,9 +234,6 @@ class HOp(HExpr):
             raise ValueError(f"op {self.op!r} expects {arity} args, got {len(self.args)}")
         if self.width <= 0:
             raise ValueError(f"op {self.op!r} has bad width {self.width}")
-
-    def children(self) -> tuple[HExpr, ...]:
-        return self.args
 
 
 @dataclass

@@ -7,10 +7,11 @@ far fewer.  Anything wider than :data:`~repro.hdl.swar.SWAR_MAX_WIDTH`
 falls off the batched simulator's SWAR tier into per-lane loops, and
 wide adders cost gates in synthesis.
 
-This pass computes a sound significant-bit bound for every signal
-(:func:`repro.hdl.ir.significant_bits`) and rewrites the width-monotone
-operators -- ``add``, ``mul``, ``and``, ``or``, ``xor``, ``mux``,
-``zext``, and constant ``shl`` -- to compute at the bounded width,
+This pass computes sound significant-bit bounds
+(:func:`repro.hdl.ir.significant_bits`), on demand for the signals a
+wide operator reads, and rewrites the width-monotone operators --
+``add``, ``mul``, ``and``, ``or``, ``xor``, ``mux``, ``zext``, and
+constant ``shl`` -- to compute at the bounded width,
 zero-extending the result back to the declared width::
 
     t := add[w=64](a, b)        -->   t := zext(add[w=20](a', b'), 64)
@@ -26,7 +27,16 @@ compare-heavy forwarding logic for the SWAR tier.
 
 from __future__ import annotations
 
-from repro.hdl.ir import ArrayWrite, HConst, HExpr, HOp, HRef, Module, significant_bits
+from repro.hdl.ir import (
+    BOOL_OUT,
+    ArrayWrite,
+    HConst,
+    HExpr,
+    HOp,
+    HRef,
+    Module,
+    significant_bits,
+)
 from repro.hdl.passes.base import Pass, rebuild
 from repro.hdl.swar import SWAR_MAX_WIDTH
 
@@ -44,6 +54,59 @@ _WIDTH_SENSITIVE = frozenset(
 )
 
 
+class _Bounds:
+    """Significant-bit bounds of the rewritten combinational signals,
+    each computed the first time a rewrite reads it.
+
+    The *env* that :func:`~repro.hdl.ir.significant_bits` takes: only
+    wide narrowable operators and wide unsigned compares ask for bounds,
+    so most signals never need one.  A read first resolves the signal's
+    unresolved dependencies off an explicit stack, so a long chain of
+    signals never recurses through the bound computation.
+    """
+
+    def __init__(self, memo: dict[int, int]):
+        #: signal -> its rewritten definition, filled in block order
+        self.defs: dict[str, HExpr] = {}
+        self.known: dict[str, int] = {}
+        self.memo = memo
+
+    def get(self, name: str, default: int) -> int:
+        got = self.known.get(name)
+        if got is not None:
+            return got
+        if name not in self.defs:
+            return default  # inputs and registers: the declared width
+        stack = [name]
+        while stack:
+            top = stack[-1]
+            if top in self.known:
+                stack.pop()
+                continue
+            missing = self._missing(self.defs[top])
+            if missing:
+                stack += missing
+                continue
+            self.known[top] = significant_bits(self.defs[top], self, self.memo)
+            stack.pop()
+        return self.known[name]
+
+    def _missing(self, e: HExpr) -> list[str]:
+        """Defined signals without a bound that ``significant_bits(e)``
+        would read (it stops at boolean operators and memoized nodes)."""
+        out = []
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, HOp):
+                if node.op not in BOOL_OUT and id(node) not in self.memo:
+                    stack += node.args
+            elif (isinstance(node, HRef) and node.name in self.defs
+                    and node.name not in self.known):
+                out.append(node.name)
+        return out
+
+
 class NarrowWidths(Pass):
     """Shrink provably-narrow operators below the SWAR width boundary."""
 
@@ -53,16 +116,16 @@ class NarrowWidths(Pass):
         self.limit = limit
 
     def run(self, module: Module) -> tuple[Module, bool]:
-        env: dict[str, int] = {}
         self._changed = False
         self._memo: dict[int, HExpr] = {}
         # bound memo keyed by node id: every rewritten node is pinned by
         # self._memo for the whole run, so ids cannot be recycled
         self._bounds: dict[int, int] = {}
+        env = _Bounds(self._bounds)
         comb: list[tuple[str, HExpr]] = []
         for name, expr in module.comb:
             new = self._rewrite(expr, env)
-            env[name] = significant_bits(new, env, self._bounds)
+            env.defs[name] = new
             comb.append((name, new))
 
         # Phase 2: signals now defined as ``zext(inner, W)`` with a
@@ -121,7 +184,7 @@ class NarrowWidths(Pass):
             return inner if inner.width == width else HOp("zext", (inner,), width)
         return HOp("slice", (e,), width, hi=width - 1, lo=0)
 
-    def _rewrite(self, e: HExpr, env: dict[str, int]) -> HExpr:
+    def _rewrite(self, e: HExpr, env: _Bounds) -> HExpr:
         got = self._memo.get(id(e))
         if got is not None:
             return got
@@ -129,7 +192,7 @@ class NarrowWidths(Pass):
         self._memo[id(e)] = out
         return out
 
-    def _rewrite_inner(self, e: HExpr, env: dict[str, int]) -> HExpr:
+    def _rewrite_inner(self, e: HExpr, env: _Bounds) -> HExpr:
         if not isinstance(e, HOp):
             return e
         args = []

@@ -54,7 +54,7 @@ from repro.hdl.batch import (
     BatchSimulator,
 )
 from repro.hdl.ir import HConst, HExpr, HOp, HRef, Module
-from repro.hdl.sim import paren_depth
+from repro.hdl.sim import nests_within
 
 try:
     import numpy as np
@@ -902,7 +902,7 @@ class _VectorCodeGen(_BatchCodeGen):
                 if (self.use_count.get(name, 0) == 1 and name not in keep
                         and cons == ["w"]
                         and len(code) <= _INLINE_LEN
-                        and paren_depth(code) <= _INLINE_DEPTH):
+                        and nests_within(code, _INLINE_DEPTH)):
                     self.winline[name] = code
                 else:
                     self._emit(f"s_{name} = {code}")

@@ -311,19 +311,8 @@ def _terminator(c: ast.Cmd, where: str) -> bool:
 # -- Fcd -----------------------------------------------------------------------------
 
 
-def _assigned_regs(c: ast.Cmd) -> set[str]:
-    return {x.target for x in c.walk() if isinstance(x, ast.AssignReg)}
-
-
-def _assigned_arrays(c: ast.Cmd) -> set[str]:
-    return {x.target for x in c.walk() if isinstance(x, ast.AssignArr)}
-
-
-def _collect_fcd(
-    state: ast.StateDef,
-    info: ProgramInfo,
-) -> None:
-    """Populate Fcd for every if inside *state*'s body.
+def _collect_fcd(info: ProgramInfo) -> None:
+    """Populate Fcd for every if in every state body.
 
     Beyond the registers assigned directly under the ``if``, a branch
     that performs a ``goto`` or ``fall`` makes the *schedule* of an
@@ -343,53 +332,77 @@ def _collect_fcd(
 
     Parent states remain unaffected -- exactly the containment property
     Figure 4's TDMA design relies on.
-    """
 
-    def scope_sets(root_name: str) -> tuple[set[str], set[str], set[str]]:
+    Linear in the program: one bottom-up walk per body summarizes every
+    command (dynamic registers and arrays assigned, goto, fall), and
+    each subtree's scope sets are built once from the body summaries.
+    """
+    regs_decl, arrays_decl = info.regs, info.arrays
+    #: if-label -> (regs, arrays, has goto, has fall, enclosing state), preorder
+    branches: dict[str, tuple | None] = {}
+
+    def summarize(c: ast.Cmd, where: str) -> tuple[set[str], set[str], bool, bool]:
+        if isinstance(c, ast.AssignReg):
+            dyn = regs_decl[c.target].label is None
+            return ({c.target} if dyn else set()), set(), False, False
+        if isinstance(c, ast.AssignArr):
+            dyn = arrays_decl[c.target].label is None
+            return set(), ({c.target} if dyn else set()), False, False
+        if isinstance(c, ast.Goto):
+            return set(), set(), True, False
+        if isinstance(c, ast.Fall):
+            return set(), set(), False, True
+        if isinstance(c, ast.If):
+            branches[c.label] = None  # claim the preorder slot
+            parts = (summarize(c.then, where), summarize(c.els, where))
+        elif isinstance(c, ast.Seq):
+            parts = tuple(summarize(sub, where) for sub in c.commands)
+        elif isinstance(c, ast.Otherwise):
+            parts = (summarize(c.primary, where), summarize(c.handler, where))
+        else:
+            return set(), set(), False, False
         regs: set[str] = set()
         arrays: set[str] = set()
-        states: set[str] = set()
-        for member in info.descendants(root_name):
-            body = info.states[member].body
-            regs |= {r for r in _assigned_regs(body) if info.regs[r].label is None}
-            arrays |= {a for a in _assigned_arrays(body) if info.arrays[a].label is None}
-            if not info.is_enforced_state(member):
-                states.add(member)
-        return regs, arrays, states
-
-    def visit(c: ast.Cmd) -> None:
+        goto = fall = False
+        for p_regs, p_arrays, p_goto, p_fall in parts:
+            regs |= p_regs
+            arrays |= p_arrays
+            goto = goto or p_goto
+            fall = fall or p_fall
         if isinstance(c, ast.If):
-            branch = ast.seq(c.then, c.els)
-            regs = {r for r in _assigned_regs(branch) if info.regs[r].label is None}
-            arrays = {a for a in _assigned_arrays(branch) if info.arrays[a].label is None}
-            states: set[str] = set()
-            has_goto = any(isinstance(sub, ast.Goto) for sub in branch.walk())
-            has_fall = any(isinstance(sub, ast.Fall) for sub in branch.walk())
-            if has_goto:
-                parent = info.parent[state.name]
-                assert parent is not None
-                s_regs, s_arrays, s_states = scope_sets(parent)
-                regs |= s_regs
-                arrays |= s_arrays
-                states |= s_states
-            elif has_fall:
-                s_regs, s_arrays, s_states = scope_sets(state.name)
-                regs |= s_regs
-                arrays |= s_arrays
-                states |= s_states
-            info.fcd_regs[c.label] = frozenset(regs)
-            info.fcd_arrays[c.label] = frozenset(arrays)
-            info.fcd_states[c.label] = frozenset(states)
-            visit(c.then)
-            visit(c.els)
-        elif isinstance(c, ast.Seq):
-            for sub in c.commands:
-                visit(sub)
-        elif isinstance(c, ast.Otherwise):
-            visit(c.primary)
-            visit(c.handler)
+            branches[c.label] = (regs, arrays, goto, fall, where)
+        return regs, arrays, goto, fall
 
-    visit(state.body)
+    bodies = {
+        name: summarize(state.body, name)[:2] for name, state in info.states.items()
+    }
+    scopes: dict[str, tuple[set[str], set[str], set[str]]] = {}
+
+    def scope_sets(root_name: str) -> tuple[set[str], set[str], set[str]]:
+        got = scopes.get(root_name)
+        if got is None:
+            regs: set[str] = set()
+            arrays: set[str] = set()
+            states: set[str] = set()
+            for member in info.descendants(root_name):
+                regs |= bodies[member][0]
+                arrays |= bodies[member][1]
+                if not info.is_enforced_state(member):
+                    states.add(member)
+            got = scopes[root_name] = (regs, arrays, states)
+        return got
+
+    for label, (regs, arrays, goto, fall, where) in branches.items():
+        states: set[str] = set()
+        if goto or fall:
+            root = info.parent[where] if goto else where
+            assert root is not None
+            s_regs, s_arrays, states = scope_sets(root)
+            regs = regs | s_regs
+            arrays = arrays | s_arrays
+        info.fcd_regs[label] = frozenset(regs)
+        info.fcd_arrays[label] = frozenset(arrays)
+        info.fcd_states[label] = frozenset(states)
 
 
 # -- top level ------------------------------------------------------------------------
@@ -482,7 +495,7 @@ def analyze(program: ast.Program, lattice: Lattice | None = None) -> ProgramInfo
             raise SapperTypeError(
                 f"state {s.name!r} has a path that ends in neither goto nor fall"
             )
-        _collect_fcd(s, info)
+    _collect_fcd(info)
 
     # Optional label validation.
     if lattice is not None:

@@ -1,17 +1,84 @@
 """Unit tests for the static analysis (state tree, Fcd, Appendix A.1)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.lattice import two_level
+from repro.proc.design import generate_design
 from repro.sapper import ast
 from repro.sapper.analysis import analyze
 from repro.sapper.errors import SapperTypeError
 from repro.sapper.parser import parse_program
 from repro.sapper import samples
 
+from tests import strategies
+
 
 def info_of(src: str):
     return analyze(parse_program(src))
+
+
+def reference_fcd(info):
+    """Fcd computed the straightforward way: every ``if`` re-walks its
+    branch, and every goto/fall branch re-walks the bodies of its whole
+    scope.  Returns ``(fcd_regs, fcd_arrays, fcd_states)`` with the keys
+    in the analyzer's order (states in tree order, ifs in preorder)."""
+    fcd_regs, fcd_arrays, fcd_states = {}, {}, {}
+
+    def assigned(c, kind, decls):
+        return {
+            x.target for x in c.walk()
+            if isinstance(x, kind) and decls[x.target].label is None
+        }
+
+    def scope_sets(root_name):
+        regs, arrays, states = set(), set(), set()
+        for member in info.descendants(root_name):
+            body = info.states[member].body
+            regs |= assigned(body, ast.AssignReg, info.regs)
+            arrays |= assigned(body, ast.AssignArr, info.arrays)
+            if not info.is_enforced_state(member):
+                states.add(member)
+        return regs, arrays, states
+
+    def visit(c, state):
+        if isinstance(c, ast.If):
+            branch = ast.seq(c.then, c.els)
+            regs = assigned(branch, ast.AssignReg, info.regs)
+            arrays = assigned(branch, ast.AssignArr, info.arrays)
+            states = set()
+            if any(isinstance(sub, ast.Goto) for sub in branch.walk()):
+                s_regs, s_arrays, states = scope_sets(info.parent[state])
+                regs |= s_regs
+                arrays |= s_arrays
+            elif any(isinstance(sub, ast.Fall) for sub in branch.walk()):
+                s_regs, s_arrays, states = scope_sets(state)
+                regs |= s_regs
+                arrays |= s_arrays
+            fcd_regs[c.label] = frozenset(regs)
+            fcd_arrays[c.label] = frozenset(arrays)
+            fcd_states[c.label] = frozenset(states)
+            visit(c.then, state)
+            visit(c.els, state)
+        elif isinstance(c, ast.Seq):
+            for sub in c.commands:
+                visit(sub, state)
+        elif isinstance(c, ast.Otherwise):
+            visit(c.primary, state)
+            visit(c.handler, state)
+
+    for name, state in info.states.items():
+        if name != ast.ROOT:
+            visit(state.body, name)
+    return fcd_regs, fcd_arrays, fcd_states
+
+
+def assert_fcd_matches_reference(info):
+    for got, want in zip(
+        (info.fcd_regs, info.fcd_arrays, info.fcd_states), reference_fcd(info)
+    ):
+        assert got == want
+        assert list(got) == list(want)
 
 
 class TestStateTree:
@@ -227,6 +294,44 @@ class TestFcd:
         )
         label = next(iter(info.fcd_arrays))
         assert info.fcd_arrays[label] == {"arr"}
+
+    #: a fall-only branch (scoped to its own state's subtree) beside a
+    #: goto branch (scoped to its parent's); neither the samples, the
+    #: processor nor ``strategies.programs()`` has a fall-only branch
+    FALL_AND_GOTO = """
+    reg c; reg[7:0] d; reg[7:0] e; reg[7:0] f; mem[7:0] m[4];
+    state top : L = {
+        let state p = { d := d + 1; goto q; } in
+        let state q = { m[0] := d; goto p; } in
+        if (c) { e := 1; fall; } else { fall; }
+    }
+    state other : L = { if (c) { f := 2; goto other; } else { goto top; } }
+    """
+
+    def test_fcd_fall_branch_scopes_its_own_subtree(self):
+        info = info_of(self.FALL_AND_GOTO)
+        fall_if, goto_if = info.fcd_regs
+        assert info.fcd_regs[fall_if] == {"d", "e"}
+        assert info.fcd_arrays[fall_if] == {"m"}
+        assert info.fcd_states[fall_if] == {"p", "q"}
+        assert info.fcd_regs[goto_if] == {"d", "e", "f"}
+        assert info.fcd_states[goto_if] == {"p", "q"}
+        assert_fcd_matches_reference(info)
+
+    @pytest.mark.parametrize("name", ["ADDER_CHECK", "ADDER_TRACK", "TDMA"])
+    def test_fcd_matches_reference_on_samples(self, name):
+        assert_fcd_matches_reference(analyze(parse_program(getattr(samples, name))))
+
+    def test_fcd_matches_reference_on_processor(self):
+        info = analyze(parse_program(generate_design(two_level())))
+        assert len(info.fcd_regs) > 100
+        assert any(info.fcd_states.values()), "no goto/fall branch exercised"
+        assert_fcd_matches_reference(info)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(strategies.programs())
+    def test_fcd_matches_reference_on_random_programs(self, program):
+        assert_fcd_matches_reference(analyze(program, two_level()))
 
 
 class TestWidths:

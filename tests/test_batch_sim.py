@@ -10,16 +10,22 @@ random per-lane stimulus, on both the generic engine and the
 uniform-state specialized fast path.
 """
 
+import copy
+import gc
+import weakref
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.hdl import BatchSimulator, Simulator
 from repro.lattice import two_level
+from repro.proc.machine import compile_processor
 from repro.sapper import samples
 from repro.sapper.analysis import analyze
 from repro.sapper.compiler import compile_program
 from repro.sapper.crossval import encode_inputs
+from repro.toolchain import get_toolchain
 
 from tests import strategies
 
@@ -359,6 +365,86 @@ state top : L = {
 }
 state other : L = { acc := acc - 1; goto other; }
 """
+
+
+def fresh_processor_module():
+    """The optimized secure processor as a new module object, so its
+    batched cache entry starts empty."""
+    return copy.copy(get_toolchain().optimize(compile_processor()))
+
+
+def check_uniform_processor_run_is_lazy(cls):
+    """64 lanes from reset see the same state every cycle: every step
+    takes a folded body, and the generic step is never generated."""
+    module = fresh_processor_module()
+    batch = cls(module, 64)
+    scalar = Simulator(module, optimize=False)
+    for cycle in range(60):
+        want = scalar.step()
+        assert batch.step() == [want] * 64, f"cycle {cycle}"
+    assert_lanes_match_scalars(module, batch, [scalar] * 64, 59)
+    assert batch.uniform_steps == 60 and batch.generic_steps == 0
+    assert batch._entry._generic is None
+    assert "def _make_batch_step(n):" in batch.source  # generated on demand
+    assert batch._entry._generic is not None
+
+
+def check_divergence_builds_generic_step(cls):
+    """Divergent lanes generate the generic step mid-run, and a compacted
+    batch instantiates it at its new width; every lane stays
+    bit-identical to its scalar twin throughout."""
+    design = compile_program(FSM_SRC, two_level(), name=f"lazy_{cls.__name__}")
+    module = design.module
+    batch = cls(module, 6, majority=False)
+    entry = batch._entry
+    sims = [Simulator(module) for _ in range(6)]
+
+    def drive(cycles, divergent):
+        for cycle in range(cycles):
+            lane_inputs = [
+                {"x": 3 + 50 * lane if divergent else 7, "x__tag": 0}
+                for lane in range(len(sims))
+            ]
+            want = [sim.step(inp) for sim, inp in zip(sims, lane_inputs)]
+            assert batch.step(lane_inputs) == want, f"cycle {cycle}"
+            assert_lanes_match_scalars(module, batch, sims, cycle)
+
+    drive(20, divergent=False)
+    assert batch.uniform_steps == 20 and entry._generic is None
+    drive(30, divergent=True)
+    assert batch.generic_steps > 0 and set(entry._generic.steps) == {6}
+    batch.compact([1, 4])
+    sims = [sims[lane] for lane in (0, 2, 3, 5)]
+    before = batch.generic_steps
+    drive(30, divergent=True)
+    assert batch.generic_steps > before and set(entry._generic.steps) == {4, 6}
+
+
+def check_entry_dies_with_its_module(cls):
+    """The per-module cache holds its entries strongly, so an entry must
+    never reference its own key: once the module and its simulator are
+    gone, the entry (generic step included) is collected."""
+    design = compile_program(FSM_SRC, two_level(), name=f"leak_{cls.__name__}")
+    batch = cls(design.module, 3, majority=False)
+    batch.run(10, [{"x": 3 + 50 * lane, "x__tag": 0} for lane in range(3)])
+    assert batch.uniform_steps and batch.generic_steps
+    entry = weakref.ref(batch._entry)
+    module = weakref.ref(batch.module)
+    del design, batch
+    gc.collect()
+    assert module() is None
+    assert entry() is None
+
+
+class TestLazyGenericStep:
+    def test_uniform_processor_run_never_builds_generic_step(self):
+        check_uniform_processor_run_is_lazy(BatchSimulator)
+
+    def test_divergent_lanes_build_generic_step_mid_run_and_after_compaction(self):
+        check_divergence_builds_generic_step(BatchSimulator)
+
+    def test_cache_entry_dies_with_its_module(self):
+        check_entry_dies_with_its_module(BatchSimulator)
 
 
 class TestLaneCompaction:

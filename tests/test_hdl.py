@@ -1,9 +1,17 @@
 """Unit tests for the HDL substrate: IR, simulator, synthesis, Verilog, netlist."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.hdl import HConst, HOp, HRef, Module, Simulator, emit_verilog, synthesize
 from repro.hdl.netlist import NetlistError, NetlistSimulator, bit_blast
+from repro.hdl.sim import nests_within, paren_depth
+from repro.lattice import two_level
+from repro.sapper.analysis import analyze
+from repro.sapper.compiler import compile_program
+
+from tests import strategies
 
 
 def counter_module(width=8) -> Module:
@@ -236,3 +244,64 @@ class TestNetlist:
         m.set_output("q", m.fresh(HOp("read", (addr,), 4, array="ram"), "q"))
         with pytest.raises(NetlistError):
             bit_blast(m)
+
+
+def recursive_preorder(e):
+    """The reference traversal: node, then each child's preorder."""
+    out = [e]
+    if isinstance(e, HOp):
+        for arg in e.args:
+            out.extend(recursive_preorder(arg))
+    return out
+
+
+class TestTraversal:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(strategies.programs())
+    def test_walk_is_recursive_preorder(self, program):
+        lat = two_level()
+        module = compile_program(analyze(program, lat), lat, name="walk").module
+        exprs = [e for _, e in module.comb]
+        for wr in module.array_writes:
+            exprs += [wr.addr, wr.data, wr.enable]
+        assert any(isinstance(e, HOp) for e in exprs)
+        for e in exprs:
+            assert [id(n) for n in e.walk()] == [id(n) for n in recursive_preorder(e)]
+
+    def test_walk_visits_shared_subtrees_per_occurrence(self):
+        a = HRef("a", 8)
+        s = HOp("add", (a, HConst(1, 8)), 8)
+        e = HOp("mux", (HRef("c", 1), s, s), 8)
+        assert [type(n).__name__ for n in e.walk()] == [
+            "HOp", "HRef", "HOp", "HRef", "HConst", "HOp", "HRef", "HConst",
+        ]
+
+    def test_walk_handles_trees_deeper_than_the_recursion_limit(self):
+        e = HRef("x", 8)
+        for _ in range(5000):
+            e = HOp("not", (e,), 8)
+        nodes = list(e.walk())
+        assert len(nodes) == 5001 and nodes[-1] == HRef("x", 8)
+
+
+class TestNestingCheck:
+    LIMIT = 3
+
+    def test_count_above_limit_with_depth_within(self):
+        code = "(a) + (b) + (c) + ((d))"
+        assert code.count("(") > self.LIMIT and paren_depth(code) == 2
+        assert nests_within(code, self.LIMIT)
+
+    def test_depth_equal_to_limit(self):
+        code = "(((x)) + (y))"
+        assert paren_depth(code) == self.LIMIT
+        assert nests_within(code, self.LIMIT)
+
+    def test_depth_one_over_limit(self):
+        code = "((((x))) + (y))"
+        assert paren_depth(code) == self.LIMIT + 1
+        assert not nests_within(code, self.LIMIT)
+
+    @given(st.text(alphabet="()x", max_size=40), st.integers(0, 12))
+    def test_agrees_with_the_depth_scan(self, code, limit):
+        assert nests_within(code, limit) == (paren_depth(code) <= limit)

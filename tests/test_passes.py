@@ -267,6 +267,23 @@ class TestNarrowWidths:
         out, changed = NarrowWidths().run(m)
         assert not changed and out is m
 
+    def test_bounds_resolve_long_chains_on_demand(self):
+        """A bound read at the end of a long chain of signals no wide
+        operator read before resolves every link without recursing per
+        signal, to the same bound the signals carry."""
+        m = Module("t")
+        x = m.add_input("x", 8)
+        m.assign("c0", HOp("zext", (x,), 16))
+        for i in range(1, 3000):
+            m.assign(f"c{i}", HOp("or", (HRef(f"c{i - 1}", 16), HConst(0, 16)), 16))
+        last = HOp("zext", (HRef("c2999", 16),), 64)
+        m.assign("s", HOp("add", (last, last), 64))
+        m.set_output("o", HRef("s", 64))
+        out, changed = NarrowWidths().run(m)
+        assert changed
+        s = dict(out.comb)["s"]
+        assert s.op == "zext" and s.args[0].op == "add" and s.args[0].width == 9
+
     def test_width_sensitive_consumers_get_rewrapped(self):
         import random
 

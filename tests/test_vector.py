@@ -42,7 +42,13 @@ from repro.sapper.crossval import assert_equivalent_suite, encode_inputs
 from repro.toolchain import Toolchain
 
 from tests import strategies
-from tests.test_batch_sim import FSM_SRC, assert_lanes_match_scalars
+from tests.test_batch_sim import (
+    FSM_SRC,
+    assert_lanes_match_scalars,
+    check_divergence_builds_generic_step,
+    check_entry_dies_with_its_module,
+    check_uniform_processor_run_is_lazy,
+)
 
 
 def assert_dense_mirrors_match(batch):
@@ -593,6 +599,17 @@ class TestMajorityDispatch:
             assert batch.step(lane_inputs) == ref.step(lane_inputs), cycle
         assert batch.split_steps == 0
         assert ref.split_steps > 0
+
+
+class TestLazyGenericStep:
+    def test_uniform_processor_run_never_builds_generic_step(self):
+        check_uniform_processor_run_is_lazy(VectorSimulator)
+
+    def test_divergent_lanes_build_generic_step_mid_run_and_after_compaction(self):
+        check_divergence_builds_generic_step(VectorSimulator)
+
+    def test_cache_entry_dies_with_its_module(self):
+        check_entry_dies_with_its_module(VectorSimulator)
 
 
 class TestVectorApi:
