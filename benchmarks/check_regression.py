@@ -40,7 +40,7 @@ EPS = 1e-9
 GATE_KEYS = ("gates_raw", "gates_optimized", "dff_optimized", "levels_optimized",
              "opt_comb_signals")
 #: extra_info keys treated as machine-relative ratios (bigger is better)
-RATIO_KEYS = ("batch_speedup", "swar_speedup", "compaction_speedup",
+RATIO_KEYS = ("batch_speedup", "compaction_speedup",
               "vector_speedup", "warm_start_speedup", "fleet_speedup",
               "tag_prune_ratio")
 

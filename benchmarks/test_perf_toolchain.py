@@ -3,10 +3,9 @@
 Tracks the speed of the pieces a user iterates on: the Sapper compiler,
 the HDL optimization pipeline, the HDL simulator (cycles/second on the
 full processor, raw and optimized), the lane-batched simulator
-(aggregate lane-cycles/second vs N scalar runs, SWAR vs two-tier
-engine, the NumPy vector tier vs SWAR at wide lane counts plus the
-engine lane-scaling ladder, and lane compaction + majority-cohort
-dispatch on a skewed workload suite), the reference interpreter, the
+(aggregate lane-cycles/second vs N scalar runs, the NumPy vector tier
+vs SWAR at wide lane counts plus the engine lane-scaling ladder, and
+lane compaction on a skewed workload suite), the reference interpreter, the
 assembler, and GLIFT
 netlist augmentation -- plus a gate-count regression gate asserting the
 optimizer never inflates the secure processor's cell census.
@@ -156,8 +155,8 @@ def _batch_setup():
     return module, programs
 
 
-def _fresh_batch(module, programs, swar=True, lanes=BATCH_LANES):
-    batch = BatchSimulator(module, lanes, optimize=False, swar=swar)
+def _fresh_batch(module, programs, lanes=BATCH_LANES):
+    batch = BatchSimulator(module, lanes, optimize=False)
     for lane in range(lanes):
         batch.load_array(lane, "memory", dict(programs[lane % len(programs)]))
     return batch
@@ -230,6 +229,11 @@ def test_batch_vs_scalar_throughput(benchmark):
     )
     benchmark.pedantic(lambda: speedup, rounds=1, iterations=1)
 
+    # the SWAR tier must actually carry the datapath (no silent fallback)
+    tiers = batch.signal_tiers
+    counts = {k: sum(1 for t in tiers.values() if t == k) for k in "pws"}
+    assert counts["w"] > 4 * counts["s"], f"SWAR tier underused: {counts}"
+
     # bit-identical per-lane state: every register (architectural and
     # __tag shadows) and every array (memory and __tags shadow stores)
     for lane in range(BATCH_LANES):
@@ -246,70 +250,6 @@ def test_batch_vs_scalar_throughput(benchmark):
 
     assert speedup >= 3.0, (
         f"batched simulation only {speedup:.2f}x over {BATCH_LANES} scalar runs"
-    )
-
-
-def test_swar_vs_batch_throughput(benchmark):
-    """The SWAR (wide-word lane-packed) engine must beat the two-tier
-    packed/per-lane engine >= 1.5x at 32 lanes on the secure processor,
-    with bit-identical per-lane state between the two engines.
-
-    Interleaved min-of-rounds sampling with a retry attempt keeps the
-    ratio stable on noisy machines; the measured ratio lands in the
-    benchmark JSON as ``extra_info['swar_speedup']`` for the regression
-    gate.
-    """
-    module, programs = _batch_setup()
-    _fresh_batch(module, programs).run(BATCH_CYCLES)        # warm bodies
-    _fresh_batch(module, programs, swar=False).run(BATCH_CYCLES)
-
-    swar_b = plain = None
-    speedup = 0.0
-    best_swar_time = float("inf")
-    # up to five measurement attempts (the margin over the 1.5x gate is
-    # real but modest, so give a loaded shared runner extra chances --
-    # attempts stop at the first pass, so the happy path stays cheap)
-    for _attempt in range(5):
-        swar_times, plain_times = [], []
-        for _ in range(3):
-            swar_b = _fresh_batch(module, programs)
-            t0 = time.perf_counter()
-            swar_b.run(BATCH_CYCLES)
-            swar_times.append(time.perf_counter() - t0)
-            plain = _fresh_batch(module, programs, swar=False)
-            t0 = time.perf_counter()
-            plain.run(BATCH_CYCLES)
-            plain_times.append(time.perf_counter() - t0)
-        best_swar_time = min(best_swar_time, min(swar_times))
-        speedup = max(speedup, min(plain_times) / min(swar_times))
-        if speedup >= 1.5:
-            break
-    benchmark.extra_info["swar_speedup"] = round(speedup, 3)
-    benchmark.extra_info["swar_lane_cycles_per_sec"] = round(
-        BATCH_LANES * BATCH_CYCLES / best_swar_time
-    )
-    benchmark.pedantic(lambda: speedup, rounds=1, iterations=1)
-
-    # the SWAR tier must actually carry the datapath (no silent fallback)
-    tiers = swar_b.signal_tiers
-    counts = {k: sum(1 for t in tiers.values() if t == k) for k in "pws"}
-    assert counts["w"] > 4 * counts["s"], f"SWAR tier underused: {counts}"
-
-    # both engines end bit-identical, register for register, cell for cell
-    for lane in range(BATCH_LANES):
-        for name in module.regs:
-            assert swar_b.get_reg(lane, name) == plain.get_reg(lane, name), (
-                f"lane {lane} reg {name} diverged between engines"
-            )
-        for name, arr in module.arrays.items():
-            sa, pa = swar_b.arrays[name][lane], plain.arrays[name][lane]
-            for idx in set(sa) | set(pa):
-                assert sa.get(idx, arr.default) == pa.get(idx, arr.default), (
-                    f"lane {lane} {name}[{idx}] diverged between engines"
-                )
-
-    assert speedup >= 1.5, (
-        f"SWAR engine only {speedup:.2f}x over the two-tier batched engine"
     )
 
 
@@ -397,7 +337,6 @@ def test_engine_lane_scaling(benchmark):
     but the crossover ordering itself is asserted."""
     module, programs = _batch_setup()
     engines = {
-        "batch": lambda lanes: _fresh_batch(module, programs, swar=False, lanes=lanes),
         "swar": lambda lanes: _fresh_batch(module, programs, lanes=lanes),
         "vector": lambda lanes: _fresh_vector(module, programs, lanes),
     }
@@ -457,13 +396,13 @@ def _lane_snapshot(batch, pos, module):
     )
 
 
-def _run_skewed(module, programs, compact, majority):
+def _run_skewed(module, programs, compact):
     """Run the skewed suite to completion, checking for halted lanes at
     every phase boundary (SKEW_PHASE cycles).  Each lane's full state is
     snapshotted at the boundary where it is first seen halted -- the
     same instant in every engine configuration -- and, with *compact*,
     the halted lanes are then retired from the batch."""
-    batch = BatchSimulator(module, SKEW_LANES, optimize=False, majority=majority)
+    batch = BatchSimulator(module, SKEW_LANES, optimize=False)
     for lane, prog in enumerate(programs):
         batch.load_array(lane, "memory", dict(prog))
     snaps = {}
@@ -485,28 +424,26 @@ def _run_skewed(module, programs, compact, majority):
 
 
 def test_compaction_skewed_throughput(benchmark):
-    """Lane compaction (+ majority-cohort dispatch) must beat the PR-3
-    fixed-width engine >= 1.2x on a skewed (geometric run-length)
-    workload suite, with bit-identical per-lane state at every
-    retirement boundary.
+    """Lane compaction must beat the fixed-width engine >= 1.2x on a
+    skewed (geometric run-length) workload suite, with bit-identical
+    per-lane state at every retirement boundary.
 
     The measured ratio lands in the benchmark JSON as
     ``extra_info['compaction_speedup']`` for the regression gate,
-    alongside the mean batch ``occupancy`` and the share of steps
-    dispatched through the cohort split (``cohort_split_ratio``).
+    alongside the mean batch ``occupancy``.
     """
     module, _ = _batch_setup()
     programs = _skewed_programs()
     # warm the compiled step functions and state-folded bodies of both
     # engine configurations (compaction re-enters per-width caches)
-    _run_skewed(module, programs, compact=True, majority=True)
-    _run_skewed(module, programs, compact=False, majority=False)
+    _run_skewed(module, programs, compact=True)
+    _run_skewed(module, programs, compact=False)
 
     # bit-identity: every lane's complete state (architectural and
     # shadow-tag registers, memory and shadow-tag stores) at the
     # boundary it retired on, old engine vs compacted engine
-    new_b, new_snaps, new_cycles = _run_skewed(module, programs, True, True)
-    _old_b, old_snaps, old_cycles = _run_skewed(module, programs, False, False)
+    new_b, new_snaps, new_cycles = _run_skewed(module, programs, True)
+    _old_b, old_snaps, old_cycles = _run_skewed(module, programs, False)
     assert new_cycles == old_cycles, "engines disagree on suite length"
     assert new_snaps.keys() == old_snaps.keys()
     for lane in sorted(new_snaps):
@@ -523,10 +460,10 @@ def test_compaction_skewed_throughput(benchmark):
         old_times, new_times = [], []
         for _ in range(3):
             t0 = time.perf_counter()
-            _run_skewed(module, programs, compact=False, majority=False)
+            _run_skewed(module, programs, compact=False)
             old_times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            _run_skewed(module, programs, compact=True, majority=True)
+            _run_skewed(module, programs, compact=True)
             new_times.append(time.perf_counter() - t0)
         speedup = max(speedup, min(old_times) / min(new_times))
         if speedup >= 1.2:
@@ -534,9 +471,6 @@ def test_compaction_skewed_throughput(benchmark):
     occupancy = new_b.lane_cycles / (SKEW_LANES * new_cycles)
     benchmark.extra_info["compaction_speedup"] = round(speedup, 3)
     benchmark.extra_info["occupancy"] = round(occupancy, 3)
-    benchmark.extra_info["cohort_split_ratio"] = round(
-        new_b.split_steps / new_b.cycles, 4
-    )
     benchmark.pedantic(lambda: speedup, rounds=1, iterations=1)
 
     assert occupancy < 0.7, f"suite not skewed enough (occupancy {occupancy:.2f})"
@@ -551,7 +485,7 @@ def test_tag_prune_counters(benchmark):
 
     The secure processor (a closed design whose secrets arrive through
     the preloaded ``__tags`` stores) must report nonzero
-    statically-clean prune counts on the batch, SWAR, and vector tiers,
+    statically-clean prune counts on the SWAR and vector tiers,
     with lane state bit-identical to a tracker-less run.  The TDMA
     controller's prune ratio -- the fraction of shadow state the
     certificate removes for the paper's Figure 4 design -- lands in the
@@ -565,12 +499,9 @@ def test_tag_prune_counters(benchmark):
     module, programs = _batch_setup()
     sources = tuple(a for a in module.arrays if a.endswith("__tags"))
     lanes, cycles = 8, 100
-    ref = _fresh_batch(module, programs, swar=True, lanes=lanes)
+    ref = _fresh_batch(module, programs, lanes=lanes)
     ref.run(cycles)
-    sims = [
-        ("batch", _fresh_batch(module, programs, swar=False, lanes=lanes)),
-        ("swar", _fresh_batch(module, programs, swar=True, lanes=lanes)),
-    ]
+    sims = [("swar", _fresh_batch(module, programs, lanes=lanes))]
     if HAVE_NUMPY:
         sims.append(("vector", _fresh_vector(module, programs, lanes)))
     for tier, sim in sims:

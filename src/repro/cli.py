@@ -16,7 +16,7 @@ with ``--lanes``, ``port=v0,v1,...`` drives one value per lane)
 and prints the output ports each cycle plus a violation summary;
 ``--lanes N`` advances N independent machine states per cycle through
 the lane-batched simulator (bit-identical to N scalar runs), and
-``--engine {scalar,batch,swar,vector}`` pins the simulation engine
+``--engine {scalar,swar,vector}`` pins the simulation engine
 (``auto`` picks scalar at one lane, the SWAR wide-word engine for
 small batches, and the NumPy vector engine -- when NumPy is
 installed -- from 64 lanes up, where its ufunc amortization wins).
@@ -27,7 +27,7 @@ full occupancy, and stops early once every lane has halted -- and the
 summary reports active lane-cycles and the final occupancy::
 
     python -m repro simulate design.sapper -n 100 --lanes 8 --quiet
-    python -m repro simulate design.sapper -n 100 --lanes 8 --engine batch
+    python -m repro simulate design.sapper -n 100 --lanes 8 --engine vector
     python -m repro simulate design.sapper -n 100 --lanes 8 --no-compact
 
 ``check`` runs the static analyzer (:mod:`repro.analyze`): design-lint
@@ -63,14 +63,9 @@ from collections.abc import Sequence
 
 from repro.lattice import Lattice, diamond, two_level
 from repro.store import ArtifactStore, StoreError
-from repro.toolchain import Toolchain
+from repro.toolchain import BATCH_ENGINES, Toolchain, auto_engine
 
 _LATTICES = {"two": two_level, "diamond": diamond}
-
-#: Lane count from which ``--engine auto`` prefers the NumPy vector
-#: engine: measured on the secure processor, the ufunc-amortized tier
-#: overtakes SWAR lane packing between 32 and 128 lanes.
-_VECTOR_AUTO_LANES = 64
 
 
 def _have_numpy() -> bool:
@@ -127,16 +122,15 @@ def _build_parser() -> argparse.ArgumentParser:
                           "are bit-identical to --shards 1; default: 1, "
                           "in-process)")
     sim.add_argument("--engine",
-                     choices=["auto", "scalar", "batch", "swar", "vector"],
+                     choices=["scalar", *BATCH_ENGINES],
                      default="auto",
                      help="simulation engine: 'scalar' (one Simulator per "
-                          "run, --lanes 1 only), 'batch' (lane-packed tags "
-                          "+ per-lane datapath, the pre-SWAR engine), "
-                          "'swar' (adds guard-banded wide-word lane "
-                          "packing), 'vector' (NumPy uint64 lane arrays; "
-                          "needs numpy), or 'auto' (scalar at 1 lane, swar "
-                          "for small batches, vector from 64 lanes when "
-                          "numpy is available; default)")
+                          "run, --lanes 1 only), 'swar' (lane-packed tags "
+                          "+ guard-banded wide-word lane packing), 'vector' "
+                          "(NumPy uint64 lane arrays; needs numpy), or "
+                          "'auto' (scalar at 1 lane, swar for small "
+                          "batches, vector from 64 lanes when numpy is "
+                          "available; default)")
     sim.add_argument("--compact", action=argparse.BooleanOptionalAction, default=True,
                      help="retire lanes whose 'halted' output fires and repack "
                           "the batch to the survivors (lane compaction), "
@@ -244,16 +238,11 @@ def _cmd_simulate(args: argparse.Namespace, tc: Toolchain) -> int:
     inputs = _parse_inputs(args.input)
     engine = args.engine
     if engine == "auto":
-        if args.lanes <= 1:
-            engine = "scalar"
-        elif args.lanes >= _VECTOR_AUTO_LANES and _have_numpy():
-            engine = "vector"  # ufunc amortization beats lane packing
-        else:
-            engine = "swar"
+        engine = "scalar" if args.lanes <= 1 else auto_engine(args.lanes)
     if engine == "scalar" and args.lanes > 1:
         raise SystemExit(
             f"--engine scalar supports --lanes 1 only (got {args.lanes}); "
-            "use --engine batch, swar, or vector"
+            "use --engine swar or vector"
         )
     if engine == "scalar" and any(isinstance(v, list) for v in inputs.values()):
         raise SystemExit(
@@ -269,16 +258,15 @@ def _cmd_simulate(args: argparse.Namespace, tc: Toolchain) -> int:
             raise SystemExit("--shards needs the batched engine; pass --lanes N (N > 1)")
         if args.no_opt:
             raise SystemExit("--shards shares optimized artifacts; drop --no-opt")
-        return _simulate_sharded(args, tc, engine, inputs)
-    if engine in ("batch", "swar", "vector"):
+        return _simulate_sharded(args, tc, inputs)
+    if engine != "scalar":
         if args.no_opt:
             if engine == "vector":
                 from repro.hdl import VectorSimulator
 
                 sim = VectorSimulator(design.module, args.lanes, optimize=False)
             else:
-                sim = BatchSimulator(design.module, args.lanes, optimize=False,
-                                     swar=engine == "swar")
+                sim = BatchSimulator(design.module, args.lanes, optimize=False)
         else:
             sim = tc.batch_simulator(design, args.lanes, engine=engine)
         lane_stim = _lane_stimulus(inputs, args.lanes)
@@ -327,12 +315,13 @@ def _cmd_simulate(args: argparse.Namespace, tc: Toolchain) -> int:
     return 0
 
 
-def _simulate_sharded(args: argparse.Namespace, tc: Toolchain, engine: str, inputs) -> int:
+def _simulate_sharded(args: argparse.Namespace, tc: Toolchain, inputs) -> int:
     """``simulate --shards S``: lane slices across fleet workers.
 
     Per-cycle traces live in the workers, so this path always prints
     summary-only (as --quiet does); per-lane violation counts and
-    final outputs are bit-identical to the in-process run.
+    final outputs are bit-identical to the in-process run.  ``auto``
+    resolves in each worker, at its own slice width.
     """
     from repro.fleet import simulate_sharded
 
@@ -348,7 +337,7 @@ def _simulate_sharded(args: argparse.Namespace, tc: Toolchain, engine: str, inpu
         source, lattice,
         cycles=args.cycles, lanes=args.lanes, shards=args.shards,
         name=name, secure=not args.insecure, inputs=scalar_inputs,
-        lane_stim=lane_stim, engine=None if args.engine == "auto" else engine,
+        lane_stim=lane_stim, engine=args.engine,
         compact=args.compact, store=tc.store,
     )
     merged = out["stats"].merged()

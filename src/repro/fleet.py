@@ -63,7 +63,7 @@ from repro.proc.machine import (
     compile_processor,
 )
 from repro.store import ArtifactStore, coerce_store
-from repro.toolchain import Toolchain, auto_engine
+from repro.toolchain import BATCH_ENGINES, Toolchain
 
 __all__ = [
     "FleetError",
@@ -204,7 +204,7 @@ def _run_design_slice(tc, design, payload, *, cycles, inputs, compact, engine, t
     compaction with stimulus realignment, all-halted early stop)."""
     lane_ids, stim = payload
     k = len(lane_ids)
-    sim = tc.batch_simulator(design, k, engine=engine or auto_engine(k))
+    sim = tc.batch_simulator(design, k, engine=engine or "auto")
     violations = [0] * k
     final: list[dict[str, int]] = [{} for _ in range(k)]
     lane_stim = list(stim) if stim is not None else None
@@ -319,7 +319,7 @@ class _WorkerBase:
         self.result_q = result_q
         self.stop_evt = stop_evt
         self.capacity: int = spec["capacity"]
-        self.engine: str | None = spec["engine"]
+        self.engine: str = spec["engine"]
         self.heartbeat_every: int = spec["heartbeat_every"]
         self.self_destruct: int | None = spec.get("self_destruct")
         self._sent = 0
@@ -448,9 +448,7 @@ class _ProcWorker(_WorkerBase):
             loads.append(task)
         if not loads:
             return
-        sim = self.tc.batch_simulator(
-            self.design, len(loads), engine=self.engine or auto_engine(len(loads))
-        )
+        sim = self.tc.batch_simulator(self.design, len(loads), engine=self.engine)
         for pos, (gen, idx, payload) in enumerate(loads):
             exe, budget = payload
             sim.load_array(pos, "memory", exe.as_memory())
@@ -619,9 +617,11 @@ class FleetRunner:
     warm-up (store read + batched codegen) is paid once.  *store*
     accepts an :class:`ArtifactStore`, a directory path, or ``None``
     (a private temporary store).  *lanes_per_worker* bounds each
-    worker's wave width; *engine* pins the batched engine (default:
-    automatic per wave width).  ``capture_state=True`` returns
-    :class:`FleetWorkloadResult` with final registers and arrays.
+    worker's wave width; *engine* is one of
+    :data:`~repro.toolchain.BATCH_ENGINES` (``"auto"`` or None, the
+    default, picks per wave width in each worker).
+    ``capture_state=True`` returns :class:`FleetWorkloadResult` with
+    final registers and arrays.
 
     ``_self_destruct={wid: n}`` is a fault-injection hook: that worker
     SIGKILLs itself after *n* results (tests use it for deterministic
@@ -648,7 +648,8 @@ class FleetRunner:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if lanes_per_worker < 1:
             raise ValueError(f"lanes_per_worker must be >= 1, got {lanes_per_worker}")
-        if engine not in (None, "batch", "swar", "vector"):
+        engine = engine or "auto"  # resolved per wave width in each worker
+        if engine not in BATCH_ENGINES:
             raise ValueError(f"unknown batch engine {engine!r}")
         self.shards = shards
         self.lanes_per_worker = lanes_per_worker

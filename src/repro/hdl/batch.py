@@ -41,16 +41,7 @@ dispatches to a *specialized* body: the module partially evaluated under
 that binding and re-optimized by :func:`repro.hdl.passes.optimize`'s
 pipeline.  Bodies are compiled lazily per observed state and cached;
 bindings that fail to shrink the module are remembered and skipped.
-
-**Majority-cohort dispatch** -- when lanes *disagree* on the control
-registers, the step can still split the batch by dominant binding: the
-majority cohort's state is gathered into cohort-packed words
-(generalized compress/expand, O(log width) per word from a cached
-per-mask schedule), stepped through the folded body at cohort width,
-and mask-merged back, while only the minority runs the generic step.
-Each compiled step records its state footprint so marshalling moves
-exactly what the body reads and writes -- held registers travel in
-neither direction.
+When lanes disagree on the control registers, the generic step runs.
 
 **Lane compaction** -- :meth:`BatchSimulator.compact` retires lanes
 mid-run (halted machines, exhausted budgets), repacking every piece of
@@ -59,21 +50,18 @@ cache at the new width, so skewed workload suites keep full occupancy;
 :attr:`BatchSimulator.active_lanes` maps compacted positions back to
 construction-time lane ids.
 
-All compiled artifacts are cached per (module object, engine flag) --
+All compiled artifacts are cached per (module object, engine name) --
 the same structural identity the :class:`~repro.toolchain.Toolchain`
 keys its artifacts by -- so every ``BatchSimulator`` over one module
 shares a single compilation.  The generic step is generated on first
 use: a run whose every step takes a specialized body never compiles
-it.  Pass ``swar=False`` to disable the SWAR tier and fall back to the
-two-tier packed/per-lane engine (used by the benchmark suite to measure
-the SWAR tier's speedup).
+it.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import Counter
-from time import perf_counter
 from collections.abc import Callable, Sequence
 
 from repro.hdl.ir import HConst, HExpr, HOp, HRef, Module, significant_bits
@@ -101,125 +89,8 @@ _SIGNED_CMPS = frozenset(["lts", "les", "gts", "ges"])
 _INLINE_LEN = 4000
 _INLINE_DEPTH = 90
 
-#: module -> {swar flag -> _BatchEntry} with every compiled artifact.
+#: module -> {engine name -> _BatchEntry} with every compiled artifact.
 _BATCH_CACHE = WeakIdMemo()
-
-
-# ------------------------------------------------------- cohort bit movement
-#
-# Lane compaction and majority-cohort dispatch both move per-lane state
-# between a full-width word and a cohort-packed word.  For a cohort
-# described by a bit mask, the classic generalized compress/expand
-# (Hacker's Delight 7-4/7-5) does this in O(log width) big-int
-# operations per word -- independent of cohort size -- from a mask
-# schedule computed once per cohort pattern and cached.
-
-
-def _pext_plan(mask: int, width: int) -> list[int]:
-    """The per-step move masks for compress/expand over *width* bits."""
-    full = (1 << width) - 1
-    m = mask & full
-    mk = (~mask << 1) & full
-    steps: list[int] = []
-    for i in range(max(1, (width - 1).bit_length())):
-        mp = mk
-        shift = 1
-        while shift < width:
-            mp ^= (mp << shift) & full
-            shift <<= 1
-        mv = mp & m
-        steps.append(mv)
-        m = (m ^ mv) | (mv >> (1 << i))
-        mk &= ~mp
-    return steps
-
-
-def _pext(x: int, mask: int, steps: Sequence[int]) -> int:
-    """Bits of *x* at the set positions of *mask*, packed to the low end."""
-    x &= mask
-    for i, mv in enumerate(steps):
-        t = x & mv
-        x = (x ^ t) | (t >> (1 << i))
-    return x
-
-
-def _pdep(x: int, mask: int, steps: Sequence[int]) -> int:
-    """Low bits of *x* scattered to the set positions of *mask*."""
-    for i in range(len(steps) - 1, -1, -1):
-        mv = steps[i]
-        x = (x & ~mv) | ((x << (1 << i)) & mv)
-    return x & mask
-
-
-class _CohortPlan:
-    """Gather/scatter schedule for one cohort of lanes.
-
-    Lane-contiguous words (the packed 1-bit tag world) and slot-spaced
-    words (SWAR ``sregs``) both repack through the same schedule: the
-    slot mask is the lane mask with every set bit widened to a full
-    slot, so whole slots travel intact and in lane order.  Small
-    cohorts skip the log-step schedule for a plain positions loop,
-    which is cheaper below a handful of lanes.
-    """
-
-    _LOOP_MAX = 4
-
-    def __init__(self, mask: int, lanes: int, pitch: int):
-        self.mask = mask
-        self.positions = [lane for lane in range(lanes) if (mask >> lane) & 1]
-        self.k = len(self.positions)
-        self.inv = ((1 << lanes) - 1) ^ mask
-        self._steps = None if self.k <= self._LOOP_MAX else _pext_plan(mask, lanes)
-        self.pitch = pitch
-        if pitch:
-            slot = (1 << pitch) - 1
-            smask = 0
-            for lane in self.positions:
-                smask |= slot << (lane * pitch)
-            self.smask = smask
-            self.sinv = ((1 << (lanes * pitch)) - 1) ^ smask
-            self._slot = slot
-            self._ssteps = (
-                None if self._steps is None else _pext_plan(smask, lanes * pitch)
-            )
-
-    # lane-contiguous words (bit l = lane l)
-
-    def gather(self, x: int) -> int:
-        if self._steps is None:
-            out = 0
-            for i, lane in enumerate(self.positions):
-                out |= ((x >> lane) & 1) << i
-            return out
-        return _pext(x, self.mask, self._steps)
-
-    def scatter(self, x: int) -> int:
-        if self._steps is None:
-            out = 0
-            for i, lane in enumerate(self.positions):
-                out |= ((x >> i) & 1) << lane
-            return out
-        return _pdep(x, self.mask, self._steps)
-
-    # slot-spaced words (lane l occupies bits [l * pitch, (l+1) * pitch))
-
-    def sgather(self, x: int) -> int:
-        if self._ssteps is None:
-            pitch, slot = self.pitch, self._slot
-            out = 0
-            for i, lane in enumerate(self.positions):
-                out |= ((x >> (lane * pitch)) & slot) << (i * pitch)
-            return out
-        return _pext(x, self.smask, self._ssteps)
-
-    def sscatter(self, x: int) -> int:
-        if self._ssteps is None:
-            pitch, slot = self.pitch, self._slot
-            out = 0
-            for i, lane in enumerate(self.positions):
-                out |= ((x >> (i * pitch)) & slot) << (lane * pitch)
-            return out
-        return _pdep(x, self.smask, self._ssteps)
 
 
 def _packable(e: HExpr) -> bool:
@@ -306,13 +177,11 @@ class _BatchCodeGen(_CodeGen):
     def __init__(
         self,
         module: Module,
-        swar: bool = True,
         pitch: int | None = None,
         resident: frozenset | None = None,
     ):
         super().__init__(module)
         m = module
-        self.swar = swar
         self._limit = (pitch - 1) if pitch else SWAR_MAX_WIDTH
         #: comb signal -> 'p' (packed 1-bit) | 'w' (wide tier) | 's' (scalar)
         self.kinds: dict[str, str] = {}
@@ -342,34 +211,33 @@ class _BatchCodeGen(_CodeGen):
         # against a whole per-lane evaluation saved.  Worklist-driven:
         # the wide names appearing in mux arms are collected once, and
         # each demotion propagates through a reverse index.
-        if swar:
-            arm_refs: dict[str, set[str]] = {}
-            for name, e in m.comb:
-                if self.kinds[name] != "w":
-                    continue
-                refs: set[str] = set()
-                for node in e.walk():
-                    if isinstance(node, HOp) and node.op == "mux" and node.width > 1:
-                        for arm in node.args[1:]:
-                            for ref in arm.walk():
-                                if isinstance(ref, HRef) and ref.width > 1:
-                                    refs.add(ref.name)
-                if refs:
-                    arm_refs[name] = refs
-            by_ref: dict[str, list[str]] = {}
-            for name, refs in arm_refs.items():
-                for ref in refs:
-                    by_ref.setdefault(ref, []).append(name)
-            worklist = [
-                name for name, refs in arm_refs.items()
-                if any(self.kinds.get(r) == "s" for r in refs)
-            ]
-            while worklist:
-                name = worklist.pop()
-                if self.kinds[name] != "w":
-                    continue
-                self.kinds[name] = "s"
-                worklist.extend(by_ref.get(name, ()))
+        arm_refs: dict[str, set[str]] = {}
+        for name, e in m.comb:
+            if self.kinds[name] != "w":
+                continue
+            refs: set[str] = set()
+            for node in e.walk():
+                if isinstance(node, HOp) and node.op == "mux" and node.width > 1:
+                    for arm in node.args[1:]:
+                        for ref in arm.walk():
+                            if isinstance(ref, HRef) and ref.width > 1:
+                                refs.add(ref.name)
+            if refs:
+                arm_refs[name] = refs
+        by_ref: dict[str, list[str]] = {}
+        for name, refs in arm_refs.items():
+            for ref in refs:
+                by_ref.setdefault(ref, []).append(name)
+        worklist = [
+            name for name, refs in arm_refs.items()
+            if any(self.kinds.get(r) == "s" for r in refs)
+        ]
+        while worklist:
+            name = worklist.pop()
+            if self.kinds[name] != "w":
+                continue
+            self.kinds[name] = "s"
+            worklist.extend(by_ref.get(name, ()))
 
         # Wide-tier state layout: which registers live in ``sregs``, and
         # (for SWAR) the shared slot pitch.  Both are overridable so the
@@ -410,21 +278,17 @@ class _BatchCodeGen(_CodeGen):
         """Evaluation tier for one combinational expression tree."""
         if e.width == 1 and _packable(e):
             return "p"
-        if self.swar and _swar_ok(e, self._limit):
+        if _swar_ok(e, self._limit):
             return "w"
         return "s"
 
     def _default_resident(self) -> frozenset:
-        if not self.swar:
-            return frozenset()
         return frozenset(
             r.name for r in self.module.regs.values()
             if 2 <= r.width <= SWAR_MAX_WIDTH
         )
 
     def _compute_pitch(self) -> int:
-        if not self.swar:
-            return 0
         # only what actually gets packed sizes the slots: nodes of
         # SWAR-classified trees (operands included) and the
         # slot-resident registers -- a 33-bit intermediate inside a
@@ -1085,16 +949,13 @@ class _BatchCodeGen(_CodeGen):
             r.name for r in m.regs.values()
             if r.width == 1 and (live_use.get(r.name) or r.name in edge_names)
         ]
-        self._wreg_loads: set[str] = set()
-        self._array_loads: set[str] = set()
         self._L: list[str] = []
         self._bufs: list[str] = []
 
     def _emit_state_loads(self) -> None:
         # packed registers and inputs into locals (only registers the
         # live body or the clock edge actually reads -- state-folded
-        # bodies hold most registers, and the cohort-split dispatcher
-        # gathers exactly this set when it marshals a cohort)
+        # bodies hold most registers)
         for r in self.used_pregs:
             self._emit(f"p_{r} = pregs[{r!r}]")
         for r in self.used_pregs:
@@ -1143,7 +1004,6 @@ class _BatchCodeGen(_CodeGen):
             else:
                 self._emit_scalar_phase(sigs)
         self._emit_edge()
-        self._record_footprint()
         return self._render()
 
     def _emit_packed_phase(self, sigs: list[str]) -> None:
@@ -1219,10 +1079,8 @@ class _BatchCodeGen(_CodeGen):
             elif s in self.sform_comb:
                 self._sform_init(s)
         for arr in sorted(self._arrays_in(body_exprs)):
-            self._array_loads.add(arr)
             self._emit(f"al_{arr} = arrays[{arr!r}]")
         for wreg in sorted(self._wide_regs_in(body_exprs)):
-            self._wreg_loads.add(wreg)
             self._emit(f"wr_{wreg} = wregs[{wreg!r}]")
         # hoist lane-loop reads used more than once in this phase
         ref_count: Counter = Counter()
@@ -1355,7 +1213,6 @@ class _BatchCodeGen(_CodeGen):
                     res_lane.append((reg, sig))
             else:
                 wide_next.append((reg, sig))
-        self._res_pack, self._res_lane, self._wide_next = res_pack, res_lane, wide_next
         for reg, sig in res_pack:
             self._emit_res_pack(reg, sig)
         self.lane_local = set()
@@ -1363,7 +1220,6 @@ class _BatchCodeGen(_CodeGen):
         edge_exprs = self._edge_exprs()
         edge_arrays = sorted({wr.array for wr in m.array_writes} | self._arrays_in(edge_exprs))
         for arr in edge_arrays:
-            self._array_loads.add(arr)
             self._emit(f"al_{arr} = arrays[{arr!r}]")
         out_names = list(m.outputs.values())
         edge_reg_reads = {
@@ -1373,7 +1229,6 @@ class _BatchCodeGen(_CodeGen):
         preload = (self._wide_regs_in(edge_exprs) | edge_reg_reads
                    | {r for r, _ in wide_next})
         for wreg in sorted(preload):
-            self._wreg_loads.add(wreg)
             self._emit(f"wr_{wreg} = wregs[{wreg!r}]")
         for reg, _ in res_lane:
             self._res_lane_init(reg)
@@ -1447,21 +1302,6 @@ class _BatchCodeGen(_CodeGen):
         for reg, _ in res_lane:
             self._res_lane_commit(reg)
         self._emit("return outs")
-
-    def _record_footprint(self) -> None:
-        # the step's state footprint, consumed by the cohort-split
-        # dispatcher: gather exactly what the body reads, merge back
-        # exactly what it writes (held registers travel neither way)
-        m = self.module
-        self.reads_pregs = tuple(self.used_pregs)
-        self.reads_sregs = tuple(self.used_sregs)
-        self.reads_wregs = tuple(sorted(self._wreg_loads))
-        self.writes_pregs = tuple(
-            reg for reg, _ in self.live_next if m.regs[reg].width == 1
-        )
-        self.writes_sregs = tuple(reg for reg, _ in self._res_pack + self._res_lane)
-        self.writes_wregs = tuple(reg for reg, _ in self._wide_next)
-        self.used_arrays = tuple(sorted(self._array_loads))
 
     def _render(self) -> str:
         # scratch buffers are allocated once per lane count by the factory
@@ -1548,27 +1388,6 @@ _FOLD_THRESHOLD = 0.5
 _MAX_BODIES = 16
 
 
-class _Marshal:
-    """State footprint of one compiled batched step function.
-
-    The cohort-split dispatcher gathers the words a step *reads* into
-    cohort-packed form and mask-merges back the words it *writes*;
-    everything else stays in place untouched (held registers keep their
-    full-width words, which is exactly the held semantics)."""
-
-    __slots__ = ("reads_p", "reads_s", "reads_w",
-                 "writes_p", "writes_s", "writes_w", "arrays")
-
-    def __init__(self, gen: _BatchCodeGen):
-        self.reads_p = gen.reads_pregs
-        self.reads_s = gen.reads_sregs
-        self.reads_w = gen.reads_wregs
-        self.writes_p = gen.writes_pregs
-        self.writes_s = gen.writes_sregs
-        self.writes_w = gen.writes_wregs
-        self.arrays = gen.used_arrays
-
-
 class _BatchEntry:
     """All compiled batched artifacts for one (module, engine) pair.
 
@@ -1576,16 +1395,15 @@ class _BatchEntry:
     registers, slot pitch, dispatch registers) that the generic step and
     every folded body share.  The generic step itself is generated and
     compiled on first use -- the first non-uniform step, or the first
-    read of :attr:`source` / :attr:`marshal` -- since a run whose every
-    step takes a specialized body never needs it.
+    read of :attr:`source` -- since a run whose every step takes a
+    specialized body never needs it.
 
     Subclassable per engine: :meth:`_make_gen` picks the code generator
     and :meth:`_namespace` the exec environment, so the vector tier
     reuses the whole body/dispatch machinery with a different lowering.
     """
 
-    def __init__(self, module: Module, swar: bool = True):
-        self.swar = swar
+    def __init__(self, module: Module):
         gen = self._make_gen(module)
         self.kinds: dict[str, str] = dict(gen.kinds)
         self.resident = gen.resident
@@ -1604,7 +1422,7 @@ class _BatchEntry:
         pitch: int | None = None,
         resident: frozenset | None = None,
     ) -> _BatchCodeGen:
-        return _BatchCodeGen(module, swar=self.swar, pitch=pitch, resident=resident)
+        return _BatchCodeGen(module, pitch=pitch, resident=resident)
 
     def _namespace(self) -> dict:
         return {"get_layout": get_layout}
@@ -1612,10 +1430,8 @@ class _BatchEntry:
     class _Body:
         """One compiled step source and its per-lane-count closures."""
 
-        def __init__(self, filename: str, source: str, marshal: _Marshal,
-                     namespace: dict):
+        def __init__(self, filename: str, source: str, namespace: dict):
             self.source = source
-            self.marshal = marshal
             exec(compile(source, filename, "exec"), namespace)  # noqa: S102
             self.factory = namespace["_make_batch_step"]
             self.steps: dict[int, Callable] = {}
@@ -1634,10 +1450,9 @@ class _BatchEntry:
                 raise RuntimeError(
                     "the module this batched entry compiles has been collected"
                 )
-            gen = self._make_gen(module)
-            source = gen.generate()
+            source = self._make_gen(module).generate()
             body = self._generic = self._Body(
-                f"<hdl-batch:{module.name}>", source, _Marshal(gen), self._namespace()
+                f"<hdl-batch:{module.name}>", source, self._namespace()
             )
         return body
 
@@ -1645,10 +1460,6 @@ class _BatchEntry:
     def source(self) -> str:
         """The generic step's source (generated on first read)."""
         return self._generic_body().source
-
-    @property
-    def marshal(self) -> _Marshal:
-        return self._generic_body().marshal
 
     def step(self, n: int) -> Callable:
         """The generic step closure for *n* lanes."""
@@ -1670,10 +1481,8 @@ class _BatchEntry:
             folded = _fold_module(module, binding)
             if len(folded.comb) <= _FOLD_THRESHOLD * max(len(module.comb), 1):
                 gen = self._make_gen(folded, pitch=self.pitch, resident=self.resident)
-                source = gen.generate()
                 body = self._Body(
-                    f"<hdl-batch:{folded.name}:fold>", source, _Marshal(gen),
-                    self._namespace(),
+                    f"<hdl-batch:{folded.name}:fold>", gen.generate(), self._namespace()
                 )
         self.bodies[combo] = body
         return body
@@ -1692,10 +1501,8 @@ def _cached_entry(module: Module, key: str, factory: Callable[[], _BatchEntry]) 
     return entry
 
 
-def _batch_entry(module: Module, swar: bool = True) -> _BatchEntry:
-    return _cached_entry(
-        module, "swar" if swar else "batch", lambda: _BatchEntry(module, swar)
-    )
+def _batch_entry(module: Module) -> _BatchEntry:
+    return _cached_entry(module, "swar", lambda: _BatchEntry(module))
 
 
 # ----------------------------------------------------------------- simulator
@@ -1762,9 +1569,7 @@ class BatchSimulator:
     sequence of per-lane dicts, and returns the per-lane output-port
     dicts.  Pass ``optimize=False`` to batch the raw IR (the default
     mirrors :class:`Simulator` and runs the module through the shared
-    optimization pipeline first); pass ``swar=False`` to disable the
-    SWAR tier and evaluate every multi-bit signal per lane (the PR-2
-    engine, kept for benchmarking the SWAR tier against).
+    optimization pipeline first).
 
     **Lane compaction** -- :meth:`compact` drops retired lanes and
     repacks every piece of state (packed tag words, slot-packed
@@ -1777,45 +1582,21 @@ class BatchSimulator:
     automatically.  Compaction invalidates previously created
     :meth:`lane_view` objects (lane positions shift).
 
-    **Majority-cohort dispatch** -- when lanes disagree on the narrow
-    control registers, the step splits the batch by dominant binding:
-    the majority cohort runs the state-specialized (folded) body at
-    cohort width with mask-merged write-back, and only the minority pays
-    for the generic step.  On by default (*majority*); a cohort is split
-    out when it covers at least :attr:`majority_fraction` of the lanes.
-    The dispatcher is self-tuning: split steps are timed against a
-    running estimate of the generic step, and a binding whose splits
-    keep losing (on tag-cone-dominated designs both cohorts pay the
-    lane-count-independent packed-world cost, so a split only wins when
-    the folded body shrinks sharply) stops being split after a few
-    trials; probes that find no dominant binding back off
-    exponentially, so the probe cost vanishes on suites that never
-    concentrate.  Timing only picks *which* bit-identical path runs --
-    results never depend on it.
+    **Uniform-state specialization** -- when every lane agrees on the
+    narrow control registers, the step runs the state-folded body for
+    that binding (compiled once per binding, shared across widths);
+    otherwise it runs the generic step.
     """
 
-    #: smallest share of lanes the dominant binding must cover before
-    #: the step is split into specialized-majority + generic-minority
-    majority_fraction = 0.5
-
-    #: split trials per binding before its measured cost can retire it
-    _SPLIT_TRIALS = 8
-
-    #: bound on the failed-probe backoff (steps between probes)
-    _MAX_BACKOFF = 32
-
-    #: bound on cached cohort split plans (cleared by compaction)
-    _MAX_PLANS = 128
+    #: always 0 -- no step is split -- but the benchmark's layer counters read it
+    split_steps = 0
 
     def __init__(
         self,
         module: Module,
         lanes: int,
         optimize: bool = True,
-        specialize: bool = True,
-        swar: bool = True,
         retire_when: Callable[["BatchSimulator", int], bool] | None = None,
-        majority: bool = True,
     ):
         if lanes < 1:
             raise ValueError(f"lane count must be >= 1, got {lanes}")
@@ -1827,24 +1608,15 @@ class BatchSimulator:
         self.module = module
         self.lanes = lanes
         self.cycles = 0
-        self.specialize = specialize
-        self.swar = swar
         self.retire_when = retire_when
-        self.majority = majority
         #: current lane position -> lane id at construction time
         self.active_lanes: list[int] = list(range(lanes))
-        #: step counters: uniform fast path / cohort split / generic,
-        #: plus compaction events and aggregate active lane-cycles
+        #: step counters: uniform fast path / generic, plus compaction
+        #: events and aggregate active lane-cycles
         self.uniform_steps = 0
-        self.split_steps = 0
         self.generic_steps = 0
         self.compactions = 0
         self.lane_cycles = 0
-        self._plans: dict[int, tuple[_CohortPlan, _CohortPlan]] = {}
-        self._generic_time = 0.0            # EMA of one generic step
-        self._split_stats: dict[tuple, list] = {}  # combo -> [trials, ema]
-        self._majority_skip = 0             # failed-probe backoff countdown
-        self._majority_backoff = 1
         self._entry = self._make_entry(module)
         self.pitch = self._entry.pitch
         self._refresh_layout()
@@ -1896,7 +1668,7 @@ class BatchSimulator:
     # shared verbatim.
 
     def _make_entry(self, module: Module) -> _BatchEntry:
-        return _batch_entry(module, self.swar)
+        return _batch_entry(module)
 
     def _refresh_layout(self) -> None:
         self._layout = (
@@ -1929,24 +1701,6 @@ class BatchSimulator:
         if word == v0 * self._layout.unit:
             return v0
         return None
-
-    def _sreg_column(self, name: str, mask: int) -> list[int]:
-        word = self.sregs[name]
-        pitch = self.pitch
-        return [(word >> (lane * pitch)) & mask for lane in range(self.lanes)]
-
-    def _make_plans(self, mask: int) -> tuple[_CohortPlan, _CohortPlan]:
-        pitch = self.pitch if self.sregs else 0
-        return (
-            _CohortPlan(mask, self.lanes, pitch),
-            _CohortPlan(mask ^ self._ones, self.lanes, pitch),
-        )
-
-    def _sreg_gather(self, plan: _CohortPlan, name: str):
-        return plan.sgather(self.sregs[name])
-
-    def _sreg_scatter(self, plan: _CohortPlan, name: str, sub) -> None:
-        self.sregs[name] = (self.sregs[name] & plan.sinv) | plan.sscatter(sub)
 
     # -- state access -------------------------------------------------------
 
@@ -2092,12 +1846,6 @@ class BatchSimulator:
         self._ones = (1 << k) - 1
         self._empty_inputs = [{}] * k
         self._refresh_layout()
-        # lane-count-specific caches and cost estimates start over
-        self._plans.clear()
-        self._split_stats.clear()
-        self._generic_time = 0.0
-        self._majority_skip = 0
-        self._majority_backoff = 1
         self.compactions += 1
         return gone
 
@@ -2143,100 +1891,6 @@ class BatchSimulator:
                     some = True
         return tuple(vals) if some else None
 
-    def _lane_combos(self) -> list[tuple]:
-        """Per-lane values of the dispatch registers."""
-        n = self.lanes
-        cols = []
-        for name, mode, mask in self._dispatch:
-            if mode == "p":
-                word = self.pregs[name]
-                cols.append([(word >> lane) & 1 for lane in range(n)])
-            elif mode == "w":
-                cols.append(self._sreg_column(name, mask))
-            else:
-                cols.append(self.wregs[name])
-        return list(zip(*cols))
-
-    def _majority_step(self, lane_inputs: Sequence[dict]) -> list | None:
-        """Split the batch by dominant dispatch binding, if worthwhile.
-
-        Returns the merged per-lane outputs, or ``None`` when no cohort
-        dominates (the threshold keeps marshalling overhead off steps
-        that could not win) or the dominant binding's folded body was
-        refused.
-        """
-        n = self.lanes
-        combos = self._lane_combos()
-        combo, count = Counter(combos).most_common(1)[0]
-        if count >= n or count < 2 or count < n * self.majority_fraction:
-            return None
-        stats = self._split_stats.get(combo)
-        if (stats is not None and stats[0] >= self._SPLIT_TRIALS
-                and self._generic_time and stats[1] > self._generic_time):
-            return None  # measured: splitting this binding loses here
-        body = self._entry.body_for(self.module, combo)
-        if body is None:
-            return None
-        mask = 0
-        for lane, c in enumerate(combos):
-            if c == combo:
-                mask |= 1 << lane
-        plans = self._plans.get(mask)
-        if plans is None:
-            if len(self._plans) >= self._MAX_PLANS:
-                self._plans.clear()
-            plans = self._plans[mask] = self._make_plans(mask)
-        t0 = perf_counter()
-        outs = self._split_step(plans[0], plans[1], body, lane_inputs)
-        dt = perf_counter() - t0
-        if stats is None:
-            stats = self._split_stats[combo] = [0, dt]
-        stats[0] += 1
-        stats[1] = stats[1] * 0.8 + dt * 0.2
-        return outs
-
-    def _split_step(
-        self,
-        maj: _CohortPlan,
-        mino: _CohortPlan,
-        body: _BatchEntry._Body,
-        lane_inputs: Sequence[dict],
-    ) -> list[dict[str, int]]:
-        """One cycle as two cohorts with mask-merged write-back.
-
-        Each cohort's pre-edge state is gathered into cohort-packed
-        words, stepped at cohort width (the majority through the folded
-        body, the minority through the generic step), and merged back
-        under the cohort's lane mask.  The cohorts partition the lanes,
-        so processing them sequentially is safe: a cohort's write-back
-        only touches its own lanes' bits, slots, and list positions.
-        """
-        pregs, wregs = self.pregs, self.wregs
-        arrays = self.arrays
-        outs: list = [None] * self.lanes
-        for plan, meta, step in (
-            (maj, body.marshal, body.step(maj.k)),
-            (mino, self._entry.marshal, self._entry.step(mino.k)),
-        ):
-            pos = plan.positions
-            c_pregs = {r: plan.gather(pregs[r]) for r in meta.reads_p}
-            c_sregs = {r: self._sreg_gather(plan, r) for r in meta.reads_s}
-            c_wregs = {r: [wregs[r][lane] for lane in pos] for r in meta.reads_w}
-            c_arrays = {a: [arrays[a][lane] for lane in pos] for a in meta.arrays}
-            c_inputs = [lane_inputs[lane] for lane in pos]
-            c_outs = step(c_pregs, c_wregs, c_sregs, c_arrays, c_inputs)
-            for r in meta.writes_p:
-                pregs[r] = (pregs[r] & plan.inv) | plan.scatter(c_pregs[r])
-            for r in meta.writes_s:
-                self._sreg_scatter(plan, r, c_sregs[r])
-            for r in meta.writes_w:
-                full, sub = wregs[r], c_wregs[r]
-                for i, lane in enumerate(pos):
-                    full[lane] = sub[i]
-            for i, lane in enumerate(pos):
-                outs[lane] = c_outs[i]
-        return outs
-
     def step(self, inputs: InputLike = None) -> list[dict[str, int]]:
         """Advance every lane one clock cycle; returns per-lane outputs."""
         self.cycles += 1
@@ -2244,7 +1898,7 @@ class BatchSimulator:
         if self.taint is not None:
             self.taint.step()
         lane_inputs = self._lane_inputs(inputs)
-        if self.specialize and self._dispatch:
+        if self._dispatch:
             combo = self._uniform_combo()
             if combo is not None:
                 body = self._entry.body_for(self.module, combo)
@@ -2253,27 +1907,8 @@ class BatchSimulator:
                     return body.step(self.lanes)(
                         self.pregs, self.wregs, self.sregs, self.arrays, lane_inputs
                     )
-            if self.majority and self.lanes >= 3:
-                if self._majority_skip:
-                    self._majority_skip -= 1
-                else:
-                    outs = self._majority_step(lane_inputs)
-                    if outs is not None:
-                        self.split_steps += 1
-                        self._majority_backoff = 1
-                        return outs
-                    self._majority_skip = self._majority_backoff
-                    self._majority_backoff = min(
-                        self._majority_backoff * 2, self._MAX_BACKOFF
-                    )
         self.generic_steps += 1
-        t0 = perf_counter()
-        outs = self._step(self.pregs, self.wregs, self.sregs, self.arrays, lane_inputs)
-        dt = perf_counter() - t0
-        self._generic_time = (
-            dt if not self._generic_time else self._generic_time * 0.9 + dt * 0.1
-        )
-        return outs
+        return self._step(self.pregs, self.wregs, self.sregs, self.arrays, lane_inputs)
 
     def run(self, cycles: int, inputs: InputLike = None) -> list[dict[str, int]]:
         """Advance up to *cycles* cycles; returns the last per-lane outputs.

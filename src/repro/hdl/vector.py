@@ -24,12 +24,11 @@ read ports, non-canonical width mixes) drops to the bit-exact
 per-lane scalar loops, which read vector-resident state through
 hoisted ``.tolist()`` views.  Registers of 2..64 bits live as
 ``uint64`` ndarrays in ``sregs``; lane compaction re-slices them with
-fancy indexing, and majority-cohort dispatch gathers/scatters cohorts
-the same way instead of running ``_pext``/``_pdep`` bit schedules.
+fancy indexing.
 
 Generated step code treats every stored ndarray as an **immutable
 value**: no in-place mutation, ever.  State mutation sites outside the
-step (``set_reg``, cohort scatter) copy before writing, so write-back
+step (``set_reg``, ``load_array``) copy before writing, so write-back
 aliasing (two registers latching the same signal's array) is harmless
 without defensive copies on the hot path.
 
@@ -48,7 +47,6 @@ from repro.hdl.batch import (
     _SIGNED_CMPS,
     _BatchCodeGen,
     _BatchEntry,
-    _CohortPlan,
     _cached_entry,
     _packable,
     BatchSimulator,
@@ -76,8 +74,7 @@ DENSE_MAX = 4096
 
 _NUMPY_HINT = (
     "the vector engine needs NumPy, which is not installed; "
-    "install it (pip install numpy) or pick another engine "
-    "(swar/batch)"
+    "install it (pip install numpy) or pick the swar engine"
 )
 
 
@@ -239,8 +236,7 @@ class _VectorCodeGen(_BatchCodeGen):
     scalar loops read vector values through hoisted ``.tolist()``
     views, and the clock edge writes ndarrays (not slot-packed words)
     into ``sregs``.  Scheduling, the packed world, the scalar world,
-    inlining, dead-cone peeling, and the state footprint are all
-    inherited verbatim.
+    inlining, and dead-cone peeling are all inherited verbatim.
     """
 
     def __init__(
@@ -257,7 +253,7 @@ class _VectorCodeGen(_BatchCodeGen):
         self._used_R = False
         self._use_whr = False
         self._ucache: dict[str, str] = {}
-        super().__init__(module, swar=True, pitch=pitch, resident=resident)
+        super().__init__(module, pitch=pitch, resident=resident)
 
     # -- tier classification / state layout ---------------------------------
 
@@ -281,22 +277,19 @@ class _VectorCodeGen(_BatchCodeGen):
     #
     # Dense arrays ride in ``sregs`` under reserved ``"a:" + name`` keys
     # (register names cannot contain a colon), which gives them lane
-    # compaction, cohort gather/scatter, and footprint-aware marshalling
-    # for free: ``_compact_sregs`` and the fancy-indexing gather both
-    # select *rows* of a 2-D array exactly as they select elements of a
-    # 1-D one.  The per-lane dicts in ``arrays`` remain the canonical
-    # store (the scalar tier, ``lane_view``, and cross-validation read
-    # them); the dense mirror is written through on every port store.
+    # compaction for free: ``_compact_sregs`` selects *rows* of a 2-D
+    # array exactly as it selects elements of a 1-D one.  The per-lane
+    # dicts in ``arrays`` remain the canonical store (the scalar tier,
+    # ``lane_view``, and cross-validation read them); the dense mirror
+    # is written through on every port store.
 
     def _emit_state_loads(self) -> None:
         super()._emit_state_loads()
-        m = self.module
-        self._dense_writes = sorted({
-            wr.array for wr in m.array_writes
+        used = {
+            wr.array for wr in self.module.array_writes
             if wr.array in self.dense
             and not (isinstance(wr.enable, HConst) and wr.enable.value == 0)
-        })
-        used = set(self._dense_writes)
+        }
         for kind, sigs in self.phases:
             if kind != "w":
                 continue
@@ -308,14 +301,6 @@ class _VectorCodeGen(_BatchCodeGen):
         self._dense_loads = sorted(used)
         for a in self._dense_loads:
             self._emit(f"ad_{a} = sregs[{'a:' + a!r}]")
-
-    def _record_footprint(self) -> None:
-        super()._record_footprint()
-        # the dense mirrors travel with the cohort like resident
-        # registers; written arrays are also read so the scatter-back
-        # finds the gathered rows in place
-        self.reads_sregs += tuple("a:" + a for a in self._dense_loads)
-        self.writes_sregs += tuple("a:" + a for a in self._dense_writes)
 
     def _port_store(self, arr: str, idx: str, data: str) -> list[str]:
         stmts = super()._port_store(arr, idx, data)
@@ -1100,11 +1085,8 @@ class _VectorCodeGen(_BatchCodeGen):
 
 class _VectorEntry(_BatchEntry):
     """Compiled vector-tier artifacts for one module (cached per module
-    alongside the swar/batch entries, sharing the body/dispatch
-    machinery of :class:`~repro.hdl.batch._BatchEntry`)."""
-
-    def __init__(self, module: Module):
-        super().__init__(module, swar=True)
+    alongside the swar entry, sharing the body/dispatch machinery of
+    :class:`~repro.hdl.batch._BatchEntry`)."""
 
     def _make_gen(
         self,
@@ -1133,19 +1115,11 @@ def _vector_entry(module: Module) -> _VectorEntry:
 # ------------------------------------------------------------- simulator
 
 
-class _VectorPlan(_CohortPlan):
-    """A cohort plan whose sregs movement is fancy indexing."""
-
-    def __init__(self, mask: int, lanes: int):
-        super().__init__(mask, lanes, 0)
-        self.pidx = np.array(self.positions, np.intp)
-
-
 class VectorSimulator(BatchSimulator):
     """The lane-batched simulator on the NumPy uint64 vector tier.
 
     Drop-in for :class:`~repro.hdl.batch.BatchSimulator` -- same
-    constructor, same step/compact/majority/uniform machinery, same
+    constructor, same step/compact/uniform machinery, same
     bit-identical-per-lane contract -- with every multi-bit resident
     register held as a ``(lanes,)`` uint64 ndarray and the wide
     combinational tier lowered to ufunc expressions.  The packed 1-bit
@@ -1153,7 +1127,7 @@ class VectorSimulator(BatchSimulator):
     base engine.
 
     Stored ndarrays are treated as immutable values; all mutation
-    sites (:meth:`set_reg`, cohort scatter) copy before writing.
+    sites (:meth:`set_reg`, :meth:`load_array`) copy before writing.
     """
 
     def __init__(self, module: Module, lanes: int, **kwargs):
@@ -1161,8 +1135,8 @@ class VectorSimulator(BatchSimulator):
             raise RuntimeError(_NUMPY_HINT)
         super().__init__(module, lanes, **kwargs)
         # dense mirrors of small arrays, riding in sregs under reserved
-        # "a:" keys (so compaction and cohort gather/scatter re-slice
-        # them for free); the per-lane dicts stay canonical, the step's
+        # "a:" keys (so compaction re-slices them for free); the
+        # per-lane dicts stay canonical, the step's
         # write ports write through to both
         for name in sorted(_dense_arrays(self.module)):
             arr = self.module.arrays[name]
@@ -1215,23 +1189,6 @@ class VectorSimulator(BatchSimulator):
         if (arr == v0).all():
             return int(v0)
         return None
-
-    def _sreg_column(self, name: str, mask: int) -> list[int]:
-        return self.sregs[name].tolist()
-
-    def _make_plans(self, mask: int) -> tuple[_VectorPlan, _VectorPlan]:
-        return (
-            _VectorPlan(mask, self.lanes),
-            _VectorPlan(mask ^ self._ones, self.lanes),
-        )
-
-    def _sreg_gather(self, plan: _VectorPlan, name: str):
-        return self.sregs[name][plan.pidx]
-
-    def _sreg_scatter(self, plan: _VectorPlan, name: str, sub) -> None:
-        out = self.sregs[name].copy()  # stored arrays are immutable values
-        out[plan.pidx] = sub
-        self.sregs[name] = out
 
     # -- state access -------------------------------------------------------
 

@@ -268,8 +268,8 @@ def run_workloads(
     small suites with skewed run lengths are faster scalar).  *compact*
     lets the batched engine retire finished lanes mid-run (lane
     compaction); results are identical either way.  *engine* pins the
-    batched generation (``batch``/``swar``/``vector``; default
-    automatic per lane count).
+    batched generation (``swar``/``vector``; default ``auto``, per lane
+    count).
 
     ``shards=N`` (N >= 2) runs the suite on the multiprocess fleet
     scheduler instead: N worker processes, each batching a shard of the

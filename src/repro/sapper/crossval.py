@@ -247,16 +247,10 @@ class BatchCrossValidation:
         lattice: Lattice,
         lanes: int,
         name: str = "design",
-        majority_fraction: float | None = None,
         engine: str = "swar",
     ):
-        """*majority_fraction* (0..1) overrides the batched engine's
-        majority-cohort dispatch threshold, so conformance suites can
-        force the split-step fast path (specialized majority cohort +
-        generic minority, mask-merged write-back) under the same
-        cycle-by-cycle architectural oracle as the generic engine.
-        *engine* picks the batched generation under test (``"batch"``,
-        ``"swar"``, or ``"vector"``)."""
+        """*engine* picks the batched generation under test (``"swar"``
+        or ``"vector"``)."""
         from repro.hdl import BatchSimulator
 
         info = (
@@ -270,11 +264,7 @@ class BatchCrossValidation:
 
             self.batch = VectorSimulator(self.design.module, lanes)
         else:
-            self.batch = BatchSimulator(
-                self.design.module, lanes, swar=engine == "swar"
-            )
-        if majority_fraction is not None:
-            self.batch.majority_fraction = majority_fraction
+            self.batch = BatchSimulator(self.design.module, lanes)
         self.interps = [Interpreter(info, lattice) for _ in range(lanes)]
         self.mismatches: list[Mismatch] = []
         # per-lane comparison harness: the lane views are live, so one
@@ -341,14 +331,11 @@ def assert_equivalent_suite(
     cycles: int,
     stimuli: Sequence[Callable[[int], InputSpec]],
     name: str = "design",
-    majority_fraction: float | None = None,
     engine: str = "swar",
 ) -> BatchCrossValidation:
     """Run a suite of stimulus traces as lanes of one batched machine,
     each held to its own interpreter, and raise on any divergence."""
-    bcv = BatchCrossValidation(source, lattice, len(stimuli), name,
-                               majority_fraction=majority_fraction,
-                               engine=engine)
+    bcv = BatchCrossValidation(source, lattice, len(stimuli), name, engine=engine)
     mismatches = bcv.run(cycles, lambda lane, cycle: stimuli[lane](cycle))
     if mismatches:
         detail = "\n".join(str(m) for m in mismatches[:12])

@@ -67,6 +67,10 @@ Design = CompiledDesign | Module
 #: engine overtakes SWAR lane packing between 32 and 128 lanes.
 VECTOR_AUTO_LANES = 64
 
+#: The batched engine names every layer accepts (Toolchain, fleet,
+#: CLI): ``auto`` resolves per lane count through :func:`auto_engine`.
+BATCH_ENGINES = ("auto", "swar", "vector")
+
 
 def auto_engine(lanes: int) -> str:
     """The batched engine automatic selection picks for *lanes* lanes:
@@ -334,26 +338,20 @@ class Toolchain:
         self,
         design: Design,
         lanes: int,
-        swar: bool = True,
         retire_when: Callable[[BatchSimulator, int], bool] | None = None,
-        majority: bool = True,
-        engine: str | None = None,
+        engine: str = "swar",
     ) -> BatchSimulator:
         """A fresh-state *lane-batched* simulator over the (shared)
         optimized module: one vectorized step advances *lanes* independent
         machine states, each bit-identical to :meth:`simulator`.
 
-        *engine* names the generation directly: ``"batch"`` (two-tier
-        packed/per-lane), ``"swar"`` (guard-banded wide-word lane
-        packing), ``"vector"`` (NumPy uint64 lane arrays; needs
-        NumPy), or ``"auto"`` (:func:`auto_engine`: vector from
-        :data:`VECTOR_AUTO_LANES` lanes when NumPy is importable, swar
-        below).  When *engine* is None the legacy *swar* flag selects
-        between the first two.  *retire_when* installs a lane-retirement
-        predicate (``(sim, lane) -> bool``) driving automatic lane
-        compaction in :meth:`BatchSimulator.run`; *majority* toggles
-        majority-cohort dispatch (split the batch by dominant
-        control-register binding, specialized body for the majority).
+        *engine* is one of :data:`BATCH_ENGINES`: ``"swar"``
+        (guard-banded wide-word lane packing), ``"vector"`` (NumPy
+        uint64 lane arrays; needs NumPy), or ``"auto"``
+        (:func:`auto_engine`: vector from :data:`VECTOR_AUTO_LANES`
+        lanes when NumPy is importable, swar below).  *retire_when*
+        installs a lane-retirement predicate (``(sim, lane) -> bool``)
+        driving automatic lane compaction in :meth:`BatchSimulator.run`.
         The batched step function, its per-lane-count factories, and any
         state-specialized fast-path bodies are cached per (module
         object, engine) pair -- the same structural key every other
@@ -361,23 +359,16 @@ class Toolchain:
         the eval driver) compile once per engine, and compacted widths
         re-enter the same per-lane-count cache.
         """
-        if engine is not None and engine not in ("auto", "batch", "swar", "vector"):
+        if engine not in BATCH_ENGINES:
             raise ValueError(f"unknown batch engine {engine!r}")
         if engine == "auto":
             engine = auto_engine(lanes)
+        module = self.optimize(design)
         if engine == "vector":
             from repro.hdl.vector import VectorSimulator
 
-            return VectorSimulator(
-                self.optimize(design), lanes, optimize=False,
-                retire_when=retire_when, majority=majority,
-            )
-        if engine is not None:
-            swar = engine == "swar"
-        return BatchSimulator(
-            self.optimize(design), lanes, optimize=False, swar=swar,
-            retire_when=retire_when, majority=majority,
-        )
+            return VectorSimulator(module, lanes, optimize=False, retire_when=retire_when)
+        return BatchSimulator(module, lanes, optimize=False, retire_when=retire_when)
 
     def _backend_key(self, stage: str, design: Design) -> tuple:
         """Structural backend key when the design carries one, else the

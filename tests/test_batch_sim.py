@@ -48,13 +48,11 @@ def assert_lanes_match_scalars(module, batch, sims, cycle):
                 )
 
 
-def run_lockstep(design, traces, cycles, swar=True, majority_fraction=None):
+def run_lockstep(design, traces, cycles):
     """Drive a batch and per-lane scalar sims with identical stimulus."""
     module = design.module
     lanes = len(traces)
-    batch = BatchSimulator(module, lanes, swar=swar)
-    if majority_fraction is not None:
-        batch.majority_fraction = majority_fraction
+    batch = BatchSimulator(module, lanes)
     sims = [Simulator(module) for _ in range(lanes)]
     for cycle in range(cycles):
         lane_inputs = [
@@ -117,21 +115,7 @@ class TestSwarTier:
             data.draw(strategies.stimulus_traces(cycles=5), label=f"lane{lane}")
             for lane in range(lanes)
         ]
-        batch = run_lockstep(design, traces, cycles=5)
-        # the two engines must classify identically on the engine flag
-        assert batch.swar and "w" not in BatchSimulator(
-            design.module, lanes, swar=False
-        ).signal_tiers.values()
-
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(strategies.wide_programs(), st.data())
-    def test_pre_swar_engine_still_bit_identical(self, program, data):
-        """The swar=False engine (the regression-benchmark baseline)
-        stays bit-identical on the same mixed-width programs."""
-        lat = two_level()
-        design = compile_program(analyze(program, lat), lat, secure=True, name="rand_plain")
-        trace = data.draw(strategies.stimulus_traces(cycles=4))
-        run_lockstep(design, [trace, trace], cycles=4, swar=False)
+        run_lockstep(design, traces, cycles=5)
 
     ADDER = """
     reg[31:0] a; reg[31:0] b; reg[32:0] sum; reg[0:0] flag;
@@ -337,13 +321,9 @@ class TestSwarTier:
         design = compile_program(self.ADDER, two_level(), name="swar_cache")
         module = design.module
         b_swar = BatchSimulator(module, 2)
-        b_plain = BatchSimulator(module, 2, swar=False)
-        assert b_swar._entry is not b_plain._entry
         assert b_swar._entry is BatchSimulator(module, 4)._entry
-        assert b_plain._entry is BatchSimulator(module, 4, swar=False)._entry
         assert "w" in b_swar.signal_tiers.values()
-        assert "w" not in b_plain.signal_tiers.values()
-        # packed state accessors agree across engines
+        # slot-packed state accessors
         b_swar.set_reg(1, "sum", 0x1_2345_6789 & ((1 << 33) - 1))
         assert b_swar.get_reg(1, "sum") == 0x1_2345_6789 & ((1 << 33) - 1)
         assert b_swar.get_reg(0, "sum") == 0
@@ -395,7 +375,7 @@ def check_divergence_builds_generic_step(cls):
     bit-identical to its scalar twin throughout."""
     design = compile_program(FSM_SRC, two_level(), name=f"lazy_{cls.__name__}")
     module = design.module
-    batch = cls(module, 6, majority=False)
+    batch = cls(module, 6)
     entry = batch._entry
     sims = [Simulator(module) for _ in range(6)]
 
@@ -425,7 +405,7 @@ def check_entry_dies_with_its_module(cls):
     never reference its own key: once the module and its simulator are
     gone, the entry (generic step included) is collected."""
     design = compile_program(FSM_SRC, two_level(), name=f"leak_{cls.__name__}")
-    batch = cls(design.module, 3, majority=False)
+    batch = cls(design.module, 3)
     batch.run(10, [{"x": 3 + 50 * lane, "x__tag": 0} for lane in range(3)])
     assert batch.uniform_steps and batch.generic_steps
     entry = weakref.ref(batch._entry)
@@ -591,98 +571,6 @@ class TestLaneCompaction:
         assert batch.compact([]) == []
 
 
-class TestMajorityDispatch:
-    """Cohort split + mask-merged write-back must equal the generic
-    step bit-for-bit for adversarially split lane populations."""
-
-    def _lockstep(self, lanes, lane_x, cycles=160, fraction=0.5):
-        design = compile_program(FSM_SRC, two_level(), name=f"fsm_maj{lanes}")
-        module = design.module
-        batch = BatchSimulator(module, lanes)
-        batch.majority_fraction = fraction
-        sims = [Simulator(module) for _ in range(lanes)]
-        for cycle in range(cycles):
-            lane_inputs = [{"x": lane_x[lane], "x__tag": 0} for lane in range(lanes)]
-            want = [s.step(i) for s, i in zip(sims, lane_inputs)]
-            got = batch.step(lane_inputs)
-            assert got == want, f"cycle {cycle}"
-            assert_lanes_match_scalars(module, batch, sims, cycle)
-        return batch
-
-    def test_half_and_half_split(self):
-        batch = self._lockstep(6, [3, 3, 3, 103, 103, 103])
-        assert batch.split_steps > 0, "50/50 population never split"
-
-    def test_n_minus_one_vs_one_split(self):
-        batch = self._lockstep(5, [3, 3, 3, 3, 103])
-        assert batch.split_steps > 0, "N-1/1 population never split"
-
-    def test_three_way_state_mix(self):
-        batch = self._lockstep(6, [3, 3, 53, 53, 103, 103], fraction=0.3)
-        assert batch.split_steps > 0, "three-way population never split"
-
-    def test_large_cohort_uses_log_step_schedule(self):
-        """Cohorts above the positions-loop threshold repack through
-        the generalized compress/expand schedule (lane and slot space)
-        and must stay bit-identical like the small-cohort loop path."""
-        batch = self._lockstep(8, [3] * 6 + [103] * 2)
-        assert batch.split_steps > 0
-        assert any(maj._steps is not None for maj, _ in batch._plans.values()), (
-            "no cohort ever took the log-step schedule"
-        )
-        assert batch._entry.marshal.reads_s, "slot-space marshalling unexercised"
-
-    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(strategies.programs(), st.integers(3, 6), st.data())
-    def test_majority_dispatch_matches_scalars(self, program, lanes, data):
-        """Random programs with per-lane stimulus under an eager split
-        threshold: every lane stays bit-identical to its scalar twin
-        whichever cohort it lands in."""
-        lat = two_level()
-        info = analyze(program, lat)
-        design = compile_program(info, lat, secure=True, name="rand_majority")
-        traces = [
-            data.draw(strategies.stimulus_traces(cycles=5), label=f"lane{lane}")
-            for lane in range(lanes)
-        ]
-        run_lockstep(design, traces, cycles=5, majority_fraction=0.34)
-
-    def test_bodies_shared_across_cohort_widths(self):
-        """One folded body serves every lane width: the full batch, a
-        compacted batch, and majority cohorts all re-enter the same
-        cached entry at their own width."""
-        design = compile_program(FSM_SRC, two_level(), name="fsm_widths")
-        module = design.module
-        batch = BatchSimulator(module, 6)
-        inp = {"x": 7, "x__tag": 0}
-        for _ in range(120):
-            batch.step(inp)
-        entry = batch._entry
-        assert any(b is not None and 6 in b.steps for b in entry.bodies.values())
-        batch.compact([4, 5])
-        for _ in range(120):
-            batch.step(inp)
-        shared = [
-            b for b in entry.bodies.values()
-            if b is not None and {4, 6} <= set(b.steps)
-        ]
-        assert shared, "specialized bodies must be shared across lane widths"
-        # a second simulator over the same module reuses the same bodies
-        assert BatchSimulator(module, 3)._entry.bodies is entry.bodies
-
-    def test_split_disabled_by_flag(self):
-        design = compile_program(FSM_SRC, two_level(), name="fsm_nomaj")
-        module = design.module
-        batch = BatchSimulator(module, 6, majority=False)
-        ref = BatchSimulator(module, 6)
-        ref.majority_fraction = 0.3
-        for cycle in range(160):
-            lane_inputs = [{"x": 3 + 50 * (lane % 3), "x__tag": 0} for lane in range(6)]
-            assert batch.step(lane_inputs) == ref.step(lane_inputs), cycle
-        assert batch.split_steps == 0
-        assert ref.split_steps > 0
-
-
 class TestLaneIndexValidation:
     """Per-lane accessors must reject duplicate and out-of-range lane
     indices instead of silently wrapping (negative list indexing) or
@@ -772,6 +660,29 @@ class TestSpecializedFastPath:
         assert any(body is not None for body in batch._entry.bodies.values()), (
             "uniform lanes never reached a specialized body"
         )
+
+    def test_bodies_shared_across_lane_widths(self):
+        """One folded body serves every lane width: the full batch and a
+        compacted batch re-enter the same cached entry at their own
+        width."""
+        design = compile_program(FSM_SRC, two_level(), name="fsm_widths")
+        module = design.module
+        batch = BatchSimulator(module, 6)
+        inp = {"x": 7, "x__tag": 0}
+        for _ in range(120):
+            batch.step(inp)
+        entry = batch._entry
+        assert any(b is not None and 6 in b.steps for b in entry.bodies.values())
+        batch.compact([4, 5])
+        for _ in range(120):
+            batch.step(inp)
+        shared = [
+            b for b in entry.bodies.values()
+            if b is not None and {4, 6} <= set(b.steps)
+        ]
+        assert shared, "specialized bodies must be shared across lane widths"
+        # a second simulator over the same module reuses the same bodies
+        assert BatchSimulator(module, 3)._entry.bodies is entry.bodies
 
     def test_mixed_states_fall_back_to_generic(self):
         lat = two_level()

@@ -37,7 +37,7 @@ def write(tmp_path, name, doc):
 
 BASE = {
     "gates": {"gates_optimized": 1000},
-    "ratios": {"batch_speedup": 3.0, "swar_speedup": 1.5},
+    "ratios": {"batch_speedup": 3.0, "vector_speedup": 1.5},
     "mean_seconds": {"test_x": 0.1},
 }
 
@@ -48,12 +48,12 @@ def run_main(tmp_path, current, baseline=BASE, argv_extra=()):
     return check_regression.main([bench, "--baseline", basefile, *argv_extra])
 
 
-def current_doc(gates=1000, batch=3.0, swar=1.5, mean=0.1):
+def current_doc(gates=1000, batch=3.0, vector=1.5, mean=0.1):
     return bench_json(
         {"test_x": mean, "test_gates": 1e-6, "test_ratio": 1e-6},
         extra={
             "test_gates": {"gates_optimized": gates},
-            "test_ratio": {"batch_speedup": batch, "swar_speedup": swar},
+            "test_ratio": {"batch_speedup": batch, "vector_speedup": vector},
         },
     )
 
@@ -62,7 +62,7 @@ class TestCollect:
     def test_collect_classifies_extra_info(self):
         got = check_regression.collect(current_doc())
         assert got["gates"] == {"gates_optimized": 1000}
-        assert got["ratios"] == {"batch_speedup": 3.0, "swar_speedup": 1.5}
+        assert got["ratios"] == {"batch_speedup": 3.0, "vector_speedup": 1.5}
         # stub benchmarks (attach-only lambdas) stay out of the timing gate
         assert got["mean_seconds"] == {"test_x": 0.1}
         assert set(got["names"]) == {"test_x", "test_gates", "test_ratio"}
@@ -75,20 +75,19 @@ class TestCollect:
                          extra={"test_opt": {"opt_comb_signals": 7023}})
         assert check_regression.collect(doc)["gates"] == {"opt_comb_signals": 7023}
 
-    def test_swar_speedup_is_a_gated_ratio(self):
-        assert "swar_speedup" in check_regression.RATIO_KEYS
+    def test_vector_speedup_is_a_gated_ratio(self):
+        assert "vector_speedup" in check_regression.RATIO_KEYS
 
     def test_compaction_speedup_is_a_gated_ratio(self):
         """The skewed-suite compaction ratio gates like the other
-        machine-relative speedups; its companion diagnostics
-        (occupancy, cohort_split_ratio) ride along in extra_info but
-        are informational only."""
+        machine-relative speedups; its companion diagnostic
+        (occupancy) rides along in extra_info but is informational
+        only."""
         assert "compaction_speedup" in check_regression.RATIO_KEYS
         doc = bench_json(
             {"test_skew": 1e-6},
             extra={"test_skew": {"compaction_speedup": 1.7,
-                                 "occupancy": 0.41,
-                                 "cohort_split_ratio": 0.02}},
+                                 "occupancy": 0.41}},
         )
         got = check_regression.collect(doc)
         assert got["ratios"] == {"compaction_speedup": 1.7}
@@ -166,7 +165,7 @@ class TestMissingAndNewMetrics:
         doc = current_doc()
         doc["benchmarks"][2]["extra_info"] = {"batch_speedup": 3.0}
         assert run_main(tmp_path, doc) == 1
-        assert "swar_speedup missing" in capsys.readouterr().out
+        assert "vector_speedup missing" in capsys.readouterr().out
 
     def test_missing_timing_fails(self, tmp_path, capsys):
         doc = current_doc()
@@ -198,11 +197,11 @@ class TestThresholdBoundaries:
         assert run_main(tmp_path, current_doc(gates=1201)) == 1
 
     def test_ratio_exactly_at_floor_passes(self, tmp_path):
-        assert run_main(tmp_path, current_doc(swar=1.2)) == 0  # 1.5 * 0.80
+        assert run_main(tmp_path, current_doc(vector=1.2)) == 0  # 1.5 * 0.80
 
     def test_ratio_below_floor_fails(self, tmp_path, capsys):
-        assert run_main(tmp_path, current_doc(swar=1.19)) == 1
-        assert "swar_speedup" in capsys.readouterr().out
+        assert run_main(tmp_path, current_doc(vector=1.19)) == 1
+        assert "vector_speedup" in capsys.readouterr().out
 
     def test_timing_at_throughput_limit_passes(self, tmp_path):
         assert run_main(tmp_path, current_doc(mean=0.3)) == 0  # 0.1 * 3.0
@@ -217,7 +216,7 @@ class TestThresholdBoundaries:
 
 class TestUpdate:
     def test_update_rewrites_baseline_without_names(self, tmp_path):
-        bench = write(tmp_path, "bench.json", current_doc(gates=777, swar=9.0))
+        bench = write(tmp_path, "bench.json", current_doc(gates=777, vector=9.0))
         basefile = tmp_path / "baseline.json"
         basefile.write_text(json.dumps(BASE))
         assert check_regression.main(
@@ -225,7 +224,7 @@ class TestUpdate:
         ) == 0
         snap = json.loads(basefile.read_text())
         assert snap["gates"]["gates_optimized"] == 777
-        assert snap["ratios"]["swar_speedup"] == 9.0
+        assert snap["ratios"]["vector_speedup"] == 9.0
         assert "names" not in snap
 
     def test_updated_baseline_round_trips(self, tmp_path):

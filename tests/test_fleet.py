@@ -249,6 +249,19 @@ class TestDifferential:
             (r.outputs, r.cycles, r.halted) for r in single
         ]
 
+    def test_auto_engine_shards_like_the_unsharded_run(self, fleet_store):
+        """engine="auto" names the default on every path: the fleet
+        resolves it per worker wave, exactly as it resolves None."""
+        specs = [(i * 5, i % 4) for i in range(6)]
+        exes = executables(specs)
+        single = run_workloads(exes, max_cycles=600, engine="auto")
+        sharded = run_workloads(
+            exes, max_cycles=600, engine="auto", shards=2, store=fleet_store
+        )
+        assert [(r.outputs, r.cycles, r.violations, r.halted) for r in sharded] == [
+            (r.outputs, r.cycles, r.violations, r.halted) for r in single
+        ]
+
 
 class TestSchedulingStats:
     def test_warm_start_and_occupancy_visible(self, fleet2):
@@ -431,8 +444,9 @@ class TestConstruction:
             FleetRunner(shards=0)
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            FleetRunner(engine="quantum")
+        for engine in ("quantum", "batch"):
+            with pytest.raises(ValueError, match="engine"):
+                FleetRunner(engine=engine)
 
     def test_private_store_is_cleaned_up(self):
         fleet = FleetRunner(shards=1)

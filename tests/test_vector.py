@@ -6,7 +6,7 @@ contents (architectural *and* shadow-tag), array contents (including
 ``__tags`` shadow stores and the dense uint64 mirrors), and output-port
 values of N scalar :class:`~repro.hdl.sim.Simulator` runs -- for random
 programs across the 33-bit and 64-bit dtype boundaries, lane counts up
-to 256, mid-run lane compaction, and majority-cohort dispatch.  Engine
+to 256, and mid-run lane compaction.  Engine
 selection (toolchain ``engine=``, CLI ``--engine``/auto, the
 NumPy-missing gate) is covered at the bottom.
 
@@ -67,13 +67,11 @@ def assert_dense_mirrors_match(batch):
                 )
 
 
-def run_lockstep(design, traces, cycles, majority_fraction=None):
+def run_lockstep(design, traces, cycles):
     """Drive a vector batch and per-lane scalar sims in lockstep."""
     module = design.module
     lanes = len(traces)
     batch = VectorSimulator(module, lanes)
-    if majority_fraction is not None:
-        batch.majority_fraction = majority_fraction
     sims = [Simulator(module) for _ in range(lanes)]
     for cycle in range(cycles):
         lane_inputs = [
@@ -550,57 +548,6 @@ class TestLaneCompaction:
             assert batch.lane_regs(pos) == twin.lane_regs(orig)
 
 
-class TestMajorityDispatch:
-    """Cohort split via fancy-indexing gather/scatter must equal the
-    generic vector step bit-for-bit."""
-
-    def _lockstep(self, lanes, lane_x, cycles=160, fraction=0.5):
-        design = compile_program(FSM_SRC, two_level(), name=f"vec_maj{lanes}")
-        module = design.module
-        batch = VectorSimulator(module, lanes)
-        batch.majority_fraction = fraction
-        sims = [Simulator(module) for _ in range(lanes)]
-        for cycle in range(cycles):
-            lane_inputs = [{"x": lane_x[lane], "x__tag": 0} for lane in range(lanes)]
-            want = [s.step(i) for s, i in zip(sims, lane_inputs)]
-            got = batch.step(lane_inputs)
-            assert got == want, f"cycle {cycle}"
-            assert_lanes_match_scalars(module, batch, sims, cycle)
-        return batch
-
-    def test_half_and_half_split(self):
-        batch = self._lockstep(6, [3, 3, 3, 103, 103, 103])
-        assert batch.split_steps > 0, "50/50 population never split"
-
-    def test_three_way_state_mix(self):
-        batch = self._lockstep(6, [3, 3, 53, 53, 103, 103], fraction=0.3)
-        assert batch.split_steps > 0, "three-way population never split"
-
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(strategies.programs(), st.integers(3, 6), st.data())
-    def test_majority_dispatch_matches_scalars(self, program, lanes, data):
-        lat = two_level()
-        info = analyze(program, lat)
-        design = compile_program(info, lat, secure=True, name="rand_vec_majority")
-        traces = [
-            data.draw(strategies.stimulus_traces(cycles=5), label=f"lane{lane}")
-            for lane in range(lanes)
-        ]
-        run_lockstep(design, traces, cycles=5, majority_fraction=0.34)
-
-    def test_split_disabled_by_flag(self):
-        design = compile_program(FSM_SRC, two_level(), name="vec_nomaj")
-        module = design.module
-        batch = VectorSimulator(module, 6, majority=False)
-        ref = VectorSimulator(module, 6)
-        ref.majority_fraction = 0.3
-        for cycle in range(160):
-            lane_inputs = [{"x": 3 + 50 * (lane % 3), "x__tag": 0} for lane in range(6)]
-            assert batch.step(lane_inputs) == ref.step(lane_inputs), cycle
-        assert batch.split_steps == 0
-        assert ref.split_steps > 0
-
-
 class TestLazyGenericStep:
     def test_uniform_processor_run_never_builds_generic_step(self):
         check_uniform_processor_run_is_lazy(VectorSimulator)
@@ -619,7 +566,6 @@ class TestVectorApi:
         vec = VectorSimulator(module, 2)
         assert vec._entry is VectorSimulator(module, 4)._entry
         assert vec._entry is not BatchSimulator(module, 2)._entry
-        assert vec._entry is not BatchSimulator(module, 2, swar=False)._entry
 
     def test_stored_arrays_are_immutable_values(self):
         """set_reg must copy-before-write: a lane write may never mutate
@@ -679,23 +625,23 @@ class TestToolchainEngines:
         vec = tc.batch_simulator(design, 4, engine="vector")
         assert isinstance(vec, VectorSimulator)
         swar = tc.batch_simulator(design, 4, engine="swar")
-        assert type(swar) is BatchSimulator and swar.swar
-        plain = tc.batch_simulator(design, 4, engine="batch")
-        assert type(plain) is BatchSimulator and not plain.swar
-        with pytest.raises(ValueError, match="unknown batch engine"):
-            tc.batch_simulator(design, 4, engine="simd")
+        assert type(swar) is BatchSimulator
+        assert "w" in swar.signal_tiers.values()
+        for retired in ("simd", "batch"):
+            with pytest.raises(ValueError, match="unknown batch engine"):
+                tc.batch_simulator(design, 4, engine=retired)
 
     def test_engines_agree_on_tdma(self):
         tc = Toolchain()
         design = tc.compile(samples.TDMA, two_level(), name="tc_agree")
         sims = [
             tc.batch_simulator(design, 3, engine=e)
-            for e in ("batch", "swar", "vector")
+            for e in ("swar", "vector")
         ]
         inp = {"hi_in": 9, "hi_in__tag": 1, "lo_in": 4, "lo_in__tag": 0}
         for cycle in range(40):
             outs = [s.step(inp) for s in sims]
-            assert outs[0] == outs[1] == outs[2], cycle
+            assert outs[0] == outs[1], cycle
 
     def test_crossval_suite_over_vector_engine(self):
         stimuli = [
@@ -740,10 +686,10 @@ class TestCliEngineSelection:
         assert "4 lanes" in capsys.readouterr().out
 
     def test_auto_prefers_vector_at_wide_batches(self, tdma_file, recorded, capsys):
-        from repro import cli
+        from repro import cli, toolchain
 
         assert cli.main(["simulate", tdma_file, "-n", "3",
-                         "--lanes", str(cli._VECTOR_AUTO_LANES), "--quiet"]) == 0
+                         "--lanes", str(toolchain.VECTOR_AUTO_LANES), "--quiet"]) == 0
         assert recorded == ["vector"]
 
     def test_auto_prefers_swar_at_narrow_batches(self, tdma_file, recorded, capsys):
@@ -757,7 +703,7 @@ class TestCliEngineSelection:
                                                    monkeypatch, capsys):
         from repro import cli
 
-        monkeypatch.setattr(cli, "_have_numpy", lambda: False)
+        monkeypatch.setattr(vector_mod, "HAVE_NUMPY", False)
         assert cli.main(["simulate", tdma_file, "-n", "3",
                          "--lanes", "128", "--quiet"]) == 0
         assert recorded == ["swar"]
